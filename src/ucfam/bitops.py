@@ -14,7 +14,7 @@ a shift of the whole vector by 2^(i-1) bits.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_GROUND = 24
 
@@ -122,6 +122,39 @@ def rooted_mask(n: int, mask: int, b: int) -> int:
 def rooted_masks(n: int, mask: int) -> list[int]:
     """rooted_mask for every b = 1..n (index b-1 in the result)."""
     return [rooted_mask(n, mask, b) for b in range(1, n + 1)]
+
+
+def rootless(mask: int, rooted: Iterable[int]) -> int:
+    """Nonempty cells of mask that none of its rooted masks covers."""
+    anyroot = 0
+    for r in rooted:
+        anyroot |= r
+    return mask & ~anyroot & ~1
+
+
+def root_set(rooted: Sequence[int], s: int) -> int:
+    """Encoded set of the roots of cell s: the b whose rooted mask (index b-1) holds s."""
+    out = 0
+    for j, r in enumerate(rooted):
+        if (r >> s) & 1:
+            out |= 1 << j
+    return out
+
+
+def rooted_union(rooted: Sequence[int], elements: int) -> int:
+    """Cells rooted at some element of the encoded element set."""
+    out = 0
+    for b in iter_bits(elements):
+        out |= rooted[b]
+    return out
+
+
+def interval(lower: int, upper: int) -> int:
+    """Cells of the cube [lower, upper] = {X : lower <= X <= upper}; lower must lie inside upper."""
+    cube = 1 << lower
+    for b in iter_bits(upper & ~lower):
+        cube |= cube << (1 << b)
+    return cube
 
 
 def swap_elements(n: int, mask: int, a: int, b: int) -> int:

@@ -13,12 +13,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import colex
-from .compression import full_down
 from .core import (
     Family,
     decode_set,
     family_from_text,
     family_to_text,
+    is_downset,
     is_simply_rooted,
     is_union_closed,
     set_text,
@@ -32,8 +32,11 @@ from .enumeration import (
     extremal_search,
 )
 from .errors import CapacityError, DomainError, ParseError
-from .stability import bad_set_lower_bounds, classify_sets, deficiency, stability_bound
+from .stability import deficiency
 from .verify import (
+    _FAMILY_CHECKS,
+    CATALOG_IDS,
+    build_evidence,
     catalog,
     document_json,
     render_table,
@@ -120,15 +123,19 @@ def _analyze_document(fam: Family) -> dict:
     }
     if not doc["simply_rooted"]:
         return doc
+    ev = build_evidence(fam)
+    moves = [0] * len(ev.down.directions)
+    for mv in ev.down.moves.values():
+        for step_index, _ in mv:
+            moves[step_index - 1] += 1
     doc["deficiency"] = deficiency(fam)
-    down, trace = full_down(fam)
     doc["compression"] = {
-        "directions": list(trace.directions),
-        "moves_per_direction": [len(trace.moves.get(i, ())) for i in trace.directions],
-        "result_members": len(down),
-        "result_is_downset": True,
+        "directions": list(ev.down.directions),
+        "moves_per_direction": moves,
+        "result_members": len(ev.down.result),
+        "result_is_downset": is_downset(ev.down.result),
     }
-    ana = classify_sets(fam)
+    ana = ev.analysis
     doc["bad_set"] = {
         "partition_s": list(decode_set(ana.partition.s_elements)),
         "partition_t": list(decode_set(ana.partition.t_elements)),
@@ -139,22 +146,11 @@ def _analyze_document(fam: Family) -> dict:
         "b3": ana.b3,
         "y_count": len(ana.y),
     }
-    checks = []
-    for row in bad_set_lower_bounds(fam):
-        checks.append(
-            {
-                "name": row.name,
-                "lhs": _frac(row.lhs),
-                "rhs": _frac(row.rhs),
-                "slack": _frac(row.slack),
-                "passed": row.passed,
-            }
-        )
-    doc["inequalities"] = checks
-    doc["stability"] = {}
-    for variant in ("twelfth", "eighth"):
-        bound, holds = stability_bound(fam, variant)
-        doc["stability"][variant] = {"bound": _frac(bound), "holds": holds}
+    doc["checks"] = []
+    for cid in CATALOG_IDS:
+        if cid in _FAMILY_CHECKS:
+            ok, lhs, rhs, _ = _FAMILY_CHECKS[cid](ev)
+            doc["checks"].append({"id": cid, "lhs": lhs, "rhs": rhs, "passed": ok})
     return doc
 
 
@@ -167,8 +163,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     fam = family_from_text(text)
     doc = _analyze_document(fam)
     _print_json(doc)
-    ok = all(row["passed"] for row in doc.get("inequalities", []))
-    ok = ok and all(v["holds"] for v in doc.get("stability", {}).values())
+    ok = all(row["passed"] for row in doc.get("checks", []))
     return EXIT_PASS if ok else EXIT_CHECK_FAILURE
 
 

@@ -24,14 +24,12 @@ from fractions import Fraction
 
 from . import bitops
 from .core import Family
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
 __all__ = [
-    "colex_less",
     "colex_superadditivity",
     "colex_superadditivity_slack",
     "colex_total_size",
-    "colex_upper_bound",
     "czedli_threshold_agrees",
     "extremal_construction",
     "f_extremal",
@@ -42,17 +40,6 @@ __all__ = [
     "segment_bound_is_tight",
     "total_size_range",
 ]
-
-
-def colex_less(a: int, b: int) -> bool:
-    """True iff A precedes B in colex order (encodings compare as integers).
-
-    Colex is a strict total order; comparing a set with itself is a caller
-    bug, so equal arguments raise rather than return False.
-    """
-    if a == b:
-        raise DomainError("colex order is strict; arguments are equal")
-    return a < b
 
 
 def colex_total_size(m: int) -> int:
@@ -116,6 +103,8 @@ def extremal_construction(m: int) -> Family:
     top half of the cube.
     """
     n = min_ground(m)
+    if n > bitops.MAX_GROUND:
+        raise CapacityError(f"extremal family needs ground size {n} > {bitops.MAX_GROUND}")
     m2 = (1 << n) - m
     deleted = ((1 << m2) - 1) << (1 << (n - 1)) if n else 0
     return Family(n, bitops.universe(n) ^ deleted)
@@ -158,13 +147,6 @@ def segment_bound(m: int) -> Fraction:
         raise DomainError("bound needs m >= 1")
     r = _segment_bound_r(m)
     return Fraction(m * (r + 1) - (1 << r), 2)
-
-
-def colex_upper_bound(m: int) -> Fraction:
-    """segment_bound restricted to m >= 2, where the parameter r is >= 1."""
-    if m < 2:
-        raise DomainError("bound needs m >= 2")
-    return segment_bound(m)
 
 
 def segment_bound_sixths(m: int) -> int:

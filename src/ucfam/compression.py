@@ -33,7 +33,6 @@ __all__ = [
     "up_compress_dir",
     "full_down",
     "full_up",
-    "fixed_sets",
     "reimer_decomposition",
     "uc_image_witness",
 ]
@@ -157,12 +156,6 @@ def full_up(fam: Family, order: Literal["ascending", "descending"] = "ascending"
     return trace.result, trace
 
 
-def fixed_sets(fam: Family) -> Family:
-    """Members unmoved by the full downward sweep."""
-    _, trace = full_down(fam)
-    return Family(fam.n, trace.fixed_mask())
-
-
 @dataclass(frozen=True)
 class ReimerDecomposition:
     """Cubes [A, up_image(A)] for the members of a union-closed family.
@@ -178,13 +171,6 @@ class ReimerDecomposition:
     covered: int = field(repr=False)
     disjoint: bool = True
 
-    def cube_mask(self, s: int) -> int:
-        upper = self.uppers[s]
-        mask = 1 << s
-        for b in bitops.iter_bits(upper & ~s):
-            mask |= mask << (1 << b)
-        return mask
-
     @property
     def total_cube_cells(self) -> int:
         return sum(1 << (u & ~s).bit_count() for s, u in self.uppers.items())
@@ -199,9 +185,7 @@ def reimer_decomposition(fam: Family) -> ReimerDecomposition:
     covered = 0
     disjoint = True
     for s, u in uppers.items():
-        cube = 1 << s
-        for b in bitops.iter_bits(u & ~s):
-            cube |= cube << (1 << b)
+        cube = bitops.interval(s, u)
         if covered & cube:
             disjoint = False
         covered |= cube
@@ -214,7 +198,10 @@ def _witness_from_traces(
     root_set: int,
     s: int,
 ) -> tuple[int, int] | None:
-    """Shared witness logic: first fall step k and preimage A = s minus its roots."""
+    """Shared witness logic: first fall step k and preimage A = s minus its roots.
+
+    None when s never moves or that one candidate is not carried onto s.
+    """
     mv = down_trace.moves.get(s)
     if not mv:
         return None
@@ -222,11 +209,6 @@ def _witness_from_traces(
     a = s & ~root_set
     if a in up_trace.original and up_trace.prefix_image(a, k) == s:
         return k, a
-    # The direct candidate is forced in theory; scan everything before giving up.
-    for a2 in up_trace.original:
-        for k2 in range(1, up_trace.n + 1):
-            if up_trace.prefix_image(a2, k2) == s:
-                return k2, a2
     return None
 
 

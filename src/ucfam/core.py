@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import bitops
 from .bitops import MAX_GROUND
@@ -42,7 +42,6 @@ __all__ = [
     "rooted_subfamily",
     "set_text",
     "shadow",
-    "shadow2",
     "stats",
 ]
 
@@ -164,10 +163,7 @@ def is_union_closed(fam: Family) -> bool:
 
 def is_simply_rooted(fam: Family) -> bool:
     """Every nonempty member has a root (see module docstring)."""
-    anyroot = 0
-    for b in range(1, fam.n + 1):
-        anyroot |= bitops.rooted_mask(fam.n, fam.mask, b)
-    return fam.mask & ~anyroot & ~1 == 0
+    return not bitops.rootless(fam.mask, bitops.rooted_masks(fam.n, fam.mask))
 
 
 def is_downset(fam: Family) -> bool:
@@ -183,49 +179,31 @@ def shadow(n: int, s: int) -> Family:
     return Family(n, mask)
 
 
-def shadow2(n: int, s: int) -> Family:
-    """Family of sets obtained by deleting two distinct elements of B."""
-    mask = 0
-    bits = list(bitops.iter_bits(s))
-    for idx, b1 in enumerate(bits):
-        for b2 in bits[idx + 1:]:
-            mask |= 1 << (s ^ (1 << b1) ^ (1 << b2))
-    return Family(n, mask)
-
-
 def cube(n: int, lower: int, upper: int) -> Family:
     """Interval family [lower, upper] = {X : lower <= X <= upper} (subset order)."""
     if lower & ~upper:
         raise DomainError(f"{set_text(lower)} is not a subset of {set_text(upper)}")
-    mask = 1 << lower
-    for b in bitops.iter_bits(upper & ~lower):
-        mask |= mask << (1 << b)
-    return Family(n, mask)
+    return Family(n, bitops.interval(lower, upper))
 
 
 def roots(fam: Family, s: int) -> int:
     """Encoded set of roots of member s: elements b with [{b}, s] inside fam."""
     if s not in fam:
         raise DomainError(f"{set_text(s)} is not a member")
-    out = 0
-    for b in bitops.iter_bits(s):
-        if (bitops.rooted_mask(fam.n, fam.mask, b + 1) >> s) & 1:
-            out |= 1 << b
-    return out
+    return bitops.root_set(bitops.rooted_masks(fam.n, fam.mask), s)
 
 
 def rooted_subfamily(fam: Family, s_elements: int) -> Family:
     """Members rooted at some element of the encoded element set; never contains {}."""
-    if not is_simply_rooted(fam):
+    rooted = bitops.rooted_masks(fam.n, fam.mask)
+    _require_simply_rooted(fam, rooted)
+    return Family(fam.n, bitops.rooted_union(rooted, s_elements))
+
+
+def _require_simply_rooted(fam: Family, rooted: Sequence[int]) -> None:
+    """DomainError unless the rooted masks of fam cover every nonempty member."""
+    if bitops.rootless(fam.mask, rooted):
         raise DomainError("family is not simply rooted")
-    return _rooted_subfamily_unchecked(fam, s_elements)
-
-
-def _rooted_subfamily_unchecked(fam: Family, s_elements: int) -> Family:
-    mask = 0
-    for b in bitops.iter_bits(s_elements):
-        mask |= bitops.rooted_mask(fam.n, fam.mask, b + 1)
-    return Family(fam.n, mask)
 
 
 @dataclass(frozen=True)
@@ -247,9 +225,7 @@ def stats(fam: Family) -> FamilyStats:
     """Compute FamilyStats; p = max_b |members rooted at b| / m, 0 for the empty family."""
     degrees = tuple((bitops.axis(fam.n, i) & fam.mask).bit_count() for i in range(1, fam.n + 1))
     m = len(fam)
-    q = 0
-    for b in range(1, fam.n + 1):
-        q = max(q, bitops.rooted_mask(fam.n, fam.mask, b).bit_count())
+    q = max((r.bit_count() for r in bitops.rooted_masks(fam.n, fam.mask)), default=0)
     return FamilyStats(
         m=m,
         total_size=sum(degrees),

@@ -114,20 +114,13 @@ def _root_repair(n: int, cells: list[int], rng: SplitMix64) -> int:
     for s in cells:
         mask |= 1 << s
     while True:
-        anyroot = 0
-        for b in range(1, n + 1):
-            anyroot |= bitops.rooted_mask(n, mask, b)
-        rootless = mask & ~anyroot & ~1
+        rootless = bitops.rootless(mask, bitops.rooted_masks(n, mask))
         if not rootless:
             return mask
         s = (rootless & -rootless).bit_length() - 1
         elems = list(bitops.iter_bits(s))
         b = elems[rng.below(len(elems))]
-        cube = 1 << (1 << b)  # cell of the singleton {b+1}
-        for other in elems:
-            if other != b:
-                cube |= cube << (1 << other)
-        mask |= cube
+        mask |= bitops.interval(1 << b, s)
 
 
 def _random_sample(n: int, rng: SplitMix64) -> Family:

@@ -1,4 +1,4 @@
-"""Bad sets, deficiency, partitions, and the stability inequalities.
+"""Bad sets, deficiency, partitions, and the Y and Z sets.
 
 For a simply rooted family F a member B is *bad* when its shadow lies inside
 F or the full downward sweep leaves it fixed; every other member is good.
@@ -13,31 +13,27 @@ are adjusted to carry the empty set when F does: F1 = F_S + {{}}, F2 = F_T +
 {{}}, keeping F1 and F2 simply rooted with F1 union F2 = F, at the price of
 the empty set always being bad (it is fixed and has an empty shadow).
 
-All bound comparisons are exact: counts are ints, ratios are Fractions.
+The inequalities built on these counts are the checks of ucfam.verify.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Literal
+from typing import Sequence
 
 from . import bitops
-from .colex import colex_total_size
 from .compression import CompressionTrace, full_down
-from .core import Family, is_simply_rooted, set_text, stats
+from .core import Family, _require_simply_rooted
 from .errors import CapacityError, DomainError
 
 __all__ = [
     "BadSetAnalysis",
-    "InequalityCheck",
     "Partition",
-    "bad_set_lower_bounds",
     "classify_sets",
     "deficiency",
     "deficiency_tight_family",
+    "full_shadow_mask",
     "largest_downset",
     "partition_search",
-    "stability_bound",
     "y_family",
     "z_family",
 ]
@@ -97,13 +93,6 @@ def deficiency_tight_family(m: int, k: int) -> Family:
     return Family.from_cells(n, (s | block for s in range(m)))
 
 
-def _rooted_or(n: int, rooted: list[int], elements: int) -> int:
-    out = 0
-    for b in bitops.iter_bits(elements):
-        out |= rooted[b]
-    return out
-
-
 def partition_search(fam: Family) -> Partition:
     """Greedy balanced partition of the ground set by rooted-subfamily size.
 
@@ -113,46 +102,42 @@ def partition_search(fam: Family) -> Partition:
     counts the nonempty members and q the largest one-element rooted count;
     that bound is asserted, with an exhaustive search as a fallback.
     """
-    if not is_simply_rooted(fam):
-        raise DomainError("family is not simply rooted")
+    rooted = bitops.rooted_masks(fam.n, fam.mask)
+    _require_simply_rooted(fam, rooted)
+    return _partition(fam, rooted)
+
+
+def _partition(fam: Family, rooted: Sequence[int]) -> Partition:
+    """partition_search on a simply rooted family with its rooted masks."""
     n = fam.n
-    rooted = bitops.rooted_masks(n, fam.mask)
+    full = (1 << n) - 1
     m0 = (fam.mask & ~1).bit_count()
     q = max((r.bit_count() for r in rooted), default=0)
     target = m0 * m0 - q * q  # 4|F_S||F_T| must reach this
 
     s_el = 0
-    t_el = (1 << n) - 1
-    cur_s, cur_t = 0, _rooted_or(n, rooted, t_el)
-    cur_min = min(cur_s.bit_count(), cur_t.bit_count())
+    cur_min = 0
     while True:
-        best = None  # (new_min, element, new_s_el)
+        best = None  # (new_min, new_s_el)
         for b in range(n):
-            bit = 1 << b
-            if t_el & bit:
-                new_s_el = s_el | bit
-            else:
-                new_s_el = s_el & ~bit
-            new_t_el = ((1 << n) - 1) ^ new_s_el
-            ns = _rooted_or(n, rooted, new_s_el).bit_count()
-            nt = _rooted_or(n, rooted, new_t_el).bit_count()
+            new_s_el = s_el ^ (1 << b)
+            ns = bitops.rooted_union(rooted, new_s_el).bit_count()
+            nt = bitops.rooted_union(rooted, full ^ new_s_el).bit_count()
             new_min = min(ns, nt)
             if new_min > cur_min and (best is None or new_min > best[0]):
-                best = (new_min, b, new_s_el)
+                best = (new_min, new_s_el)
         if best is None:
             break
-        cur_min = best[0]
-        s_el = best[2]
-        t_el = ((1 << n) - 1) ^ s_el
+        cur_min, s_el = best
 
-    a = _rooted_or(n, rooted, s_el).bit_count()
-    b_ = _rooted_or(n, rooted, t_el).bit_count()
+    a = bitops.rooted_union(rooted, s_el).bit_count()
+    b_ = bitops.rooted_union(rooted, full ^ s_el).bit_count()
     if 4 * a * b_ >= target:
-        return Partition(n, s_el, t_el)
+        return Partition(n, s_el, full ^ s_el)
     return _partition_exhaustive(fam, rooted, target)
 
 
-def _partition_exhaustive(fam: Family, rooted: list[int], target: int) -> Partition:
+def _partition_exhaustive(fam: Family, rooted: Sequence[int], target: int) -> Partition:
     n = fam.n
     live = [b for b in range(n) if rooted[b]]
     if len(live) > FALLBACK_GROUND_LIMIT:
@@ -165,7 +150,10 @@ def _partition_exhaustive(fam: Family, rooted: list[int], target: int) -> Partit
             if (pick >> j) & 1:
                 s_el |= 1 << b
         t_el = ((1 << n) - 1) ^ s_el
-        prod = _rooted_or(n, rooted, s_el).bit_count() * _rooted_or(n, rooted, t_el).bit_count()
+        prod = (
+            bitops.rooted_union(rooted, s_el).bit_count()
+            * bitops.rooted_union(rooted, t_el).bit_count()
+        )
         if prod > best_prod:
             best_prod, best_sel = prod, s_el
     if 4 * best_prod < target:  # impossible for simply rooted input
@@ -207,18 +195,27 @@ class BadSetAnalysis:
 
 def classify_sets(fam: Family, partition: Partition | None = None) -> BadSetAnalysis:
     """Split a simply rooted family into bad and good members."""
-    if not is_simply_rooted(fam):
-        raise DomainError("family is not simply rooted")
+    rooted = bitops.rooted_masks(fam.n, fam.mask)
+    _require_simply_rooted(fam, rooted)
+    _, down = full_down(fam)
+    return _classify(fam, rooted, down, partition)
+
+
+def _classify(
+    fam: Family,
+    rooted: Sequence[int],
+    down: CompressionTrace,
+    partition: Partition | None = None,
+) -> BadSetAnalysis:
+    """classify_sets on a simply rooted family, its rooted masks and its down sweep."""
     if partition is None:
-        partition = partition_search(fam)
+        partition = _partition(fam, rooted)
     n = fam.n
-    rooted = bitops.rooted_masks(n, fam.mask)
     empty_bit = fam.mask & 1
-    side_s = _rooted_or(n, rooted, partition.s_elements) | empty_bit
-    side_t = _rooted_or(n, rooted, partition.t_elements) | empty_bit
+    side_s = bitops.rooted_union(rooted, partition.s_elements) | empty_bit
+    side_t = bitops.rooted_union(rooted, partition.t_elements) | empty_bit
     fs = full_shadow_mask(fam)
-    _, trace = full_down(fam)
-    fixed = trace.fixed_mask()
+    fixed = down.fixed_mask()
     bad = fs | fixed
     return BadSetAnalysis(
         family=fam,
@@ -230,7 +227,7 @@ def classify_sets(fam: Family, partition: Partition | None = None) -> BadSetAnal
         bad=Family(n, bad),
         good=Family(n, fam.mask & ~bad),
         y=Family(n, fs & fixed),
-        trace=trace,
+        trace=down,
     )
 
 
@@ -250,86 +247,16 @@ def z_family(fam: Family, side_s: Family, side_t: Family) -> Family:
     _, tr = full_down(fam)
     _, tr_s = full_down(side_s)
     _, tr_t = full_down(side_t)
+    return Family(fam.n, _z_mask(side_s.mask & side_t.mask, tr, tr_s, tr_t))
+
+
+def _z_mask(
+    shared: int, down: CompressionTrace, trace_s: CompressionTrace, trace_t: CompressionTrace
+) -> int:
+    """Cells of `shared` whose images under the three sweeps are pairwise distinct."""
     out = 0
-    for s in bitops.iter_bits(side_s.mask & side_t.mask):
-        i0, i1, i2 = tr.image(s), tr_s.image(s), tr_t.image(s)
+    for s in bitops.iter_bits(shared):
+        i0, i1, i2 = down.image(s), trace_s.image(s), trace_t.image(s)
         if i0 != i1 and i0 != i2 and i1 != i2:
             out |= 1 << s
-    return Family(fam.n, out)
-
-
-def stability_bound(fam: Family, variant: Literal["twelfth", "eighth"]) -> tuple[Fraction, bool]:
-    """Bound ||F|| <= ||I(m)|| + m - m^2(1 - p^2)/(c 2^n), c = 12 or 8.
-
-    p is the exact peak rooted fraction, so m^2(1 - p^2) = m^2 - q^2 with q
-    the peak rooted count.  Returns (bound, holds).
-    """
-    if variant == "twelfth":
-        c = 12
-    elif variant == "eighth":
-        c = 8
-    else:
-        raise DomainError(f"unknown variant {variant!r}")
-    if not is_simply_rooted(fam):
-        raise DomainError("family is not simply rooted")
-    st = stats(fam)
-    m = st.m
-    q = st.max_rooted_count
-    bound = colex_total_size(m) + m - Fraction(m * m - q * q, c * (1 << fam.n))
-    return bound, Fraction(fam.total_size()) <= bound
-
-
-@dataclass(frozen=True)
-class InequalityCheck:
-    """One exact inequality instance: passes iff lhs <= rhs (== when equality)."""
-
-    name: str
-    lhs: Fraction | int
-    rhs: Fraction | int
-    equality: bool = False
-
-    @property
-    def slack(self) -> Fraction | int:
-        return self.rhs - self.lhs
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs if self.equality else self.lhs <= self.rhs
-
-
-def bad_set_lower_bounds(fam: Family, partition: Partition | None = None) -> list[InequalityCheck]:
-    """Every bad-set counting inequality, evaluated exactly on one family.
-
-    Uses the empty-set-adjusted sides F1, F2 (see module docstring); |F1||F2|
-    ratios carry the 2^-n factor as exact Fractions.
-    """
-    ana = classify_sets(fam, partition)
-    n = fam.n
-    cells = 1 << n
-    f1, f2 = ana.side_s, ana.side_t
-    d1, _ = full_down(f1)
-    d2, _ = full_down(f2)
-    inter_d = (d1.mask & d2.mask).bit_count()
-    inter = (f1.mask & f2.mask).bit_count()
-    zcount = len(z_family(fam, f1, f2))
-    ycount = len(ana.y)
-    b, b1, b2, b3 = ana.b, ana.b1, ana.b2, ana.b3
-    product = Fraction(len(f1) * len(f2), cells)
-    m = len(fam)
-    rows = [
-        InequalityCheck("harris", Fraction(len(d1) * len(d2), cells), inter_d),
-        InequalityCheck("split_rooted", inter_d, b + inter),
-        InequalityCheck("lower_b", product, b + inter),
-        InequalityCheck("many_bad", product, b1 + 2 * b2 + b3),
-        InequalityCheck("split_rooted_2", inter_d, b + zcount),
-        InequalityCheck("many_bad_2", product, b1 + b2 + b3 + zcount - ycount),
-        InequalityCheck("y_ge_z", zcount, ycount),
-        InequalityCheck("refinement", product, b1 + b2 + b3),
-        InequalityCheck("bad_count_identity", b, b1 + b2 + b3 - ycount, equality=True),
-        InequalityCheck(
-            "bad_half_bridge",
-            Fraction(fam.total_size()),
-            colex_total_size(m) + m - Fraction(b, 2),
-        ),
-    ]
-    return rows
+    return out

@@ -39,6 +39,7 @@ from .colex import (
 from .compression import CompressionTrace, _witness_from_traces, full_down, full_up
 from .core import (
     Family,
+    _require_simply_rooted,
     complement,
     family_to_text,
     is_downset,
@@ -47,17 +48,18 @@ from .core import (
 )
 from .enumeration import (
     EnumerationPlan,
+    _mix64,
     _union_closed_masks,
     indexed_rooted_sample,
 )
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .stability import (
     BadSetAnalysis,
-    classify_sets,
+    _classify,
+    _z_mask,
     deficiency,
     deficiency_tight_family,
     largest_downset,
-    partition_search,
 )
 
 __all__ = [
@@ -221,23 +223,24 @@ class Evidence:
 
 
 def build_evidence(fam: Family) -> Evidence:
+    """The one per-family pass: rooted masks once, every other field derived from them.
+
+    DomainError when the family is not simply rooted.
+    """
     n = fam.n
-    comp = complement(fam)
     rooted = tuple(bitops.rooted_masks(n, fam.mask))
+    _require_simply_rooted(fam, rooted)
+    comp = complement(fam)
     counts = [r.bit_count() for r in rooted]
     q = max(counts, default=0)
     peak = counts.index(q) + 1 if counts else 0
     degrees = tuple((fam.mask & bitops.axis(n, i)).bit_count() for i in range(1, n + 1))
-    analysis = classify_sets(fam, partition_search(fam))
-    down = analysis.trace
+    _, down = full_down(fam)
+    analysis = _classify(fam, rooted, down)
     _, trace_s = full_down(analysis.side_s)
     _, trace_t = full_down(analysis.side_t)
     _, up = full_up(comp)
-    z_mask = 0
-    for s in bitops.iter_bits(analysis.side_s.mask & analysis.side_t.mask):
-        i0, i1, i2 = down.image(s), trace_s.image(s), trace_t.image(s)
-        if i0 != i1 and i0 != i2 and i1 != i2:
-            z_mask |= 1 << s
+    z_mask = _z_mask(analysis.side_s.mask & analysis.side_t.mask, down, trace_s, trace_t)
     return Evidence(
         fam=fam,
         comp=comp,
@@ -257,15 +260,6 @@ def build_evidence(fam: Family) -> Evidence:
         trace_t=trace_t,
         z_mask=z_mask,
     )
-
-
-def _root_elements(ev: Evidence, s: int) -> int:
-    """Encoded set of roots of member s, read off the precomputed masks."""
-    out = 0
-    for j, r in enumerate(ev.rooted):
-        if (r >> s) & 1:
-            out |= 1 << j
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +305,18 @@ def _chk_rooted_complement_duality(ev: Evidence) -> Outcome:
     """Simply rooted iff the complement is union-closed, also after a one-cell toggle."""
     if is_simply_rooted(ev.fam) != is_union_closed(ev.comp):
         return False, int(is_simply_rooted(ev.fam)), int(is_union_closed(ev.comp)), None
-    cell = (ev.fam.mask * 0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03) % (1 << (1 << ev.fam.n))
-    cell = cell.bit_length() % (1 << ev.fam.n)
-    toggled = Family(ev.fam.n, ev.fam.mask ^ (1 << cell))
+    toggled = Family(ev.fam.n, ev.fam.mask ^ (1 << _toggle_cell(ev.fam)))
     lhs = int(is_simply_rooted(toggled))
     rhs = int(is_union_closed(complement(toggled)))
     return lhs == rhs, lhs, rhs, None
+
+
+def _toggle_cell(fam: Family) -> int:
+    """The cell rooted_complement_duality toggles: a mixed hash of the family.
+
+    An int's hash is not salted, so every process picks the same cell.
+    """
+    return _mix64(hash(fam.mask)) % (1 << fam.n)
 
 
 @_family_check("rooted_size_bound")
@@ -561,9 +561,7 @@ def _chk_reimer_cubes(ev: Evidence) -> Outcome:
     covered = 0
     cells = 0
     for s, u in ev.uppers.items():
-        cube = 1 << s
-        for b in bitops.iter_bits(u & ~s):
-            cube |= cube << (1 << b)
+        cube = bitops.interval(s, u)
         if covered & cube:
             return False, s, u, None
         covered |= cube
@@ -579,7 +577,7 @@ def _chk_reimer_cubes(ev: Evidence) -> Outcome:
 def _chk_uc_image(ev: Evidence) -> Outcome:
     """Every member that falls is an up-sweep prefix image of itself minus its roots."""
     for s in ev.down.moves:
-        if _witness_from_traces(ev.down, ev.up, _root_elements(ev, s), s) is None:
+        if _witness_from_traces(ev.down, ev.up, bitops.root_set(ev.rooted, s), s) is None:
             return False, s, -1, None
     return True, 0, 0, None
 
@@ -588,11 +586,8 @@ def _chk_uc_image(ev: Evidence) -> Outcome:
 def _chk_cube_set(ev: Evidence) -> Outcome:
     """A member inside the cube [A, up-image(A)] equals A plus exactly its roots."""
     for a, u in ev.uppers.items():
-        cube = 1 << a
-        for b in bitops.iter_bits(u & ~a):
-            cube |= cube << (1 << b)
-        for s in bitops.iter_bits(cube & ev.fam.mask):
-            if s & ~_root_elements(ev, s) != a:
+        for s in bitops.iter_bits(bitops.interval(a, u) & ev.fam.mask):
+            if s & ~bitops.root_set(ev.rooted, s) != a:
                 return False, s, a, None
     return True, 0, 0, None
 
@@ -614,7 +609,7 @@ def _chk_root_fall(ev: Evidence) -> Outcome:
 def _chk_z_roots(ev: Evidence) -> Outcome:
     """Three-image members have at least two roots, three when they move."""
     for s in bitops.iter_bits(ev.z_mask):
-        k = _root_elements(ev, s).bit_count()
+        k = bitops.root_set(ev.rooted, s).bit_count()
         need = 3 if s in ev.down.moves else 2
         if k < need:
             return False, s, k, None
@@ -694,6 +689,14 @@ class _Tally:
     instances: int = 0
     violations: list = field(default_factory=list)  # (order_key, family_text, lhs, rhs)
     details: dict = field(default_factory=dict)
+    seconds: float = 0.0
+
+    def add(self, instances: int, violations: list, details: dict, seconds: float) -> None:
+        self.instances += instances
+        self.violations.extend(violations)
+        for key, val in details.items():
+            self.details[key] = self.details.get(key, 0) + val
+        self.seconds += seconds
 
 
 @_global_check("lemma_colex_total")
@@ -1008,21 +1011,19 @@ def _family_at(plan: EnumerationPlan, index: int) -> Family:
     return indexed_rooted_sample(plan, index)
 
 
-def _run_shard(args: tuple) -> tuple[dict, int]:
+def _run_shard(args: tuple) -> dict[str, tuple[int, list, dict, float]]:
     n, mode, samples, seed, start, count, ids = args
     plan = EnumerationPlan(n=n, mode=mode, sample_count=samples, seed=seed)
     tallies = {cid: _Tally() for cid in ids}
-    errors = 0
+    checks = [(_FAMILY_CHECKS[cid], tallies[cid]) for cid in ids]
+    clock = time.perf_counter
     for index in range(start, start + count):
-        try:
-            ev = build_evidence(_family_at(plan, index))
-        except CapacityError:
-            errors += 1
-            continue
+        ev = build_evidence(_family_at(plan, index))
         text = None
-        for cid in ids:
-            ok, lhs, rhs, extra = _FAMILY_CHECKS[cid](ev)
-            t = tallies[cid]
+        for check, t in checks:
+            t0 = clock()
+            ok, lhs, rhs, extra = check(ev)
+            t.seconds += clock() - t0
             t.instances += 1
             if not ok:
                 if text is None:
@@ -1031,10 +1032,9 @@ def _run_shard(args: tuple) -> tuple[dict, int]:
             if extra:
                 for key, val in extra.items():
                     t.details[key] = t.details.get(key, 0) + val
-    packed = {
-        cid: (t.instances, t.violations, t.details) for cid, t in tallies.items()
+    return {
+        cid: (t.instances, t.violations, t.details, t.seconds) for cid, t in tallies.items()
     }
-    return packed, errors
 
 
 def run_suite(
@@ -1044,7 +1044,9 @@ def run_suite(
 
     Family-scope entries share one evidence pass over their common population,
     sharded into fixed index blocks; global entries run once in the parent.
-    Reports are identical for any worker count.
+    Reports are identical for any worker count.  A report's wall_time is the
+    time spent inside that check, summed over shards; building the evidence
+    is charged to no check.
     """
     family_ids = tuple(d.id for d in descriptors if d.id in _FAMILY_CHECKS)
     plans = {d.population for d in descriptors if d.id in _FAMILY_CHECKS}
@@ -1054,10 +1056,7 @@ def run_suite(
     plan = plans.pop() if plans else None
 
     merged: dict[str, _Tally] = {cid: _Tally() for cid in family_ids}
-    errors = 0
-    family_wall = 0.0
     if plan is not None and family_ids:
-        t0 = time.perf_counter()
         total = _population_size(plan)
         shards = [
             (plan.n, plan.mode, plan.sample_count, plan.seed, start,
@@ -1072,36 +1071,18 @@ def run_suite(
                 results = pool.map(_run_shard, shards, chunksize=1)
         else:
             results = [_run_shard(s) for s in shards]
-        for packed, errs in results:
-            errors += errs
-            for cid, (instances, violations, details) in packed.items():
-                t = merged[cid]
-                t.instances += instances
-                t.violations.extend(violations)
-                for key, val in details.items():
-                    t.details[key] = t.details.get(key, 0) + val
-        family_wall = time.perf_counter() - t0
+        for packed in results:
+            for cid, counts in packed.items():
+                merged[cid].add(*counts)
 
     reports = []
     for d in descriptors:
-        tally = _Tally()
-        wall = family_wall
-        if d.id in _FAMILY_CHECKS and d.id in merged:
-            base = merged[d.id]
-            tally.instances += base.instances
-            tally.violations.extend(base.violations)
-            for key, val in base.details.items():
-                tally.details[key] = tally.details.get(key, 0) + val
+        tally = merged.get(d.id, _Tally())
         if d.id in _GLOBAL_CHECKS:
             t0 = time.perf_counter()
             extra = _GLOBAL_CHECKS[d.id](plan)
-            wall += time.perf_counter() - t0
-            tally.instances += extra.instances
-            tally.violations.extend(extra.violations)
-            for key, val in extra.details.items():
-                tally.details[key] = tally.details.get(key, 0) + val
-        if errors and d.id in _FAMILY_CHECKS:
-            tally.details["families_skipped"] = errors
+            tally.add(extra.instances, extra.violations, extra.details,
+                      time.perf_counter() - t0)
         tally.violations.sort(key=lambda rec: rec[0])
         kept = tuple(Violation(text, lhs, rhs) for _, text, lhs, rhs in
                      tally.violations[:VIOLATION_CAP])
@@ -1119,7 +1100,7 @@ def run_suite(
                 violations=kept,
                 violations_seen=len(tally.violations),
                 status=status,
-                wall_time=wall,
+                wall_time=tally.seconds,
                 details=tally.details,
                 conjecture=d.conjecture,
             )

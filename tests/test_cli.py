@@ -1,14 +1,24 @@
 """End-to-end CLI behavior: documents, exit codes, determinism."""
+import hashlib
 import io
 import json
 import sys
 
 import pytest
 
-from ucfam import extremal_construction, family_from_text, family_to_text, is_simply_rooted
+from ucfam import (
+    CATALOG_IDS,
+    CapacityError,
+    extremal_construction,
+    family_from_text,
+    family_to_text,
+    is_simply_rooted,
+)
 from ucfam.cli import EXIT_CAPACITY, EXIT_CHECK_FAILURE, EXIT_PASS, EXIT_USAGE, main
 
 P2_MINUS_EMPTY = "n=2\n{1}\n{2}\n{1,2}\n"
+P3_MINUS_EMPTY = "n=3\n{1}\n{2}\n{1,2}\n{3}\n{1,3}\n{2,3}\n{1,2,3}\n"
+FAMILY_CHECK_IDS = [cid for cid in CATALOG_IDS if cid != "lemma_colex_total"]
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +67,14 @@ def test_fm_emit_family(capsys, tmp_path):
     assert doc["family_file"] == str(out)
     fam = family_from_text(out.read_text())
     assert fam.mask == extremal_construction(12).mask
+
+
+def test_fm_emit_family_over_ground_limit_is_capacity(capsys, tmp_path):
+    out = tmp_path / "huge.fam"
+    code, _, err = run_cli(capsys, "fm", "40000000", "--emit-family", str(out))
+    assert code == EXIT_CAPACITY
+    assert "error:" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +128,25 @@ def test_analyze_p2_minus_empty(capsys, tmp_path):
     assert doc["m"] == 3 and doc["total_size"] == 4
     assert doc["bad_set"]["bad_count"] == 2
     assert doc["bad_set"]["good_count"] == 1
-    assert all(row["passed"] for row in doc["inequalities"])
-    assert doc["stability"]["twelfth"]["holds"]
-    assert doc["stability"]["eighth"]["holds"]
+    assert [row["id"] for row in doc["checks"]] == FAMILY_CHECK_IDS
+    assert all(row["passed"] for row in doc["checks"])
+    assert "stability" not in doc
+
+
+def test_analyze_p3_minus_empty(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(P3_MINUS_EMPTY))
+    code, doc = run_json(capsys, "analyze", "-")
+    assert code == EXIT_PASS
+    assert len(doc["checks"]) == 29
+    assert [row["id"] for row in doc["checks"]] == FAMILY_CHECK_IDS
+    assert all(row["passed"] for row in doc["checks"])
+    assert all(set(row) == {"id", "lhs", "rhs", "passed"} for row in doc["checks"])
+    rows = {row["id"]: row for row in doc["checks"]}
+    # m = 7, q = 4: m^2 - q^2 = 33 against c * 8 * (9 + 7 - 12)
+    assert (rows["thm_stability_12"]["lhs"], rows["thm_stability_12"]["rhs"]) == (33, 384)
+    assert (rows["thm_stability_8"]["lhs"], rows["thm_stability_8"]["rhs"]) == (33, 256)
+    assert doc["compression"]["moves_per_direction"] == [1, 1, 1]
+    assert doc["compression"]["result_is_downset"] is True
 
 
 def test_analyze_single_empty_set(capsys, tmp_path):
@@ -146,7 +180,7 @@ def test_analyze_not_simply_rooted_stops_early(capsys, tmp_path):
     assert code == EXIT_PASS
     assert doc["union_closed"] is True
     assert doc["simply_rooted"] is False
-    assert "inequalities" not in doc and "bad_set" not in doc
+    assert "checks" not in doc and "bad_set" not in doc
 
 
 def test_analyze_missing_file(capsys):
@@ -200,6 +234,39 @@ def test_verify_exhaustive_capacity(capsys):
     code, _, err = run_cli(capsys, "verify", "--n", "5")
     assert code == EXIT_CAPACITY
     assert "error:" in err
+
+
+def test_verify_capacity_error_is_not_swallowed(capsys, monkeypatch):
+    # a family the evidence pass cannot handle stops the run instead of passing
+    def too_big(fam):
+        raise CapacityError("family over capacity")
+
+    monkeypatch.setattr("ucfam.verify.build_evidence", too_big)
+    code, _, err = run_cli(capsys, "verify", "--n", "2")
+    assert code == EXIT_CAPACITY
+    assert "over capacity" in err
+
+
+# sha256 of the replayable JSON reports; any change to a check's outcome,
+# instance count, violation list or details changes these bytes
+GOLDEN_REPORTS = [
+    (("--n", "4"), "5ae4d1e07ad7da167c52ee79a1db3a72a42a83b90953a5ed729d27dc220c911f"),
+    (
+        ("--n", "6", "--mode", "random", "--samples", "2000", "--seed", "7"),
+        "d643201523e4b98f0e6fa7270a9ac1d12a0ea2e601ed264812863adfe8ace380",
+    ),
+    (
+        ("--n", "6", "--mode", "random", "--samples", "2000", "--seed", "7", "--parallel", "2"),
+        "d643201523e4b98f0e6fa7270a9ac1d12a0ea2e601ed264812863adfe8ace380",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_REPORTS, ids=["n4", "n6-random", "n6-random-par2"])
+def test_verify_report_bytes_golden(capsys, args, digest):
+    code, out, _ = run_cli(capsys, "verify", *args, "--json")
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_out_matches_stdout(capsys, tmp_path):

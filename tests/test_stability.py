@@ -1,4 +1,4 @@
-"""Bad/good classification, deficiency, partitions, Y/Z, and the two bounds."""
+"""Bad/good classification, deficiency, partitions, Y/Z, and the catalog's bound rows."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -10,7 +10,6 @@ from conftest import members, rooted_families, simply_rooted_at, subsets
 from ucfam import (
     DomainError,
     Family,
-    bad_set_lower_bounds,
     classify_sets,
     colex_total_size,
     decode_set,
@@ -24,11 +23,11 @@ from ucfam import (
     partition_search,
     rooted_subfamily,
     roots,
-    stability_bound,
     stats,
     y_family,
     z_family,
 )
+from ucfam.verify import _FAMILY_CHECKS, CATALOG_IDS, build_evidence
 
 
 def oracle_deficiency(fam: Family) -> int:
@@ -215,7 +214,18 @@ def test_z_members_have_two_roots_exhaustive(n):
                 assert r >= 3
 
 
-# --- stability bounds ------------------------------------------------------------------
+# --- the stability theorems and the bad-set rows, read from the catalog ------------
+
+
+STABILITY_CHECKS = {"twelfth": "thm_stability_12", "eighth": "thm_stability_8"}
+
+
+def catalog_rows(fam: Family) -> dict[str, tuple]:
+    """Every catalog family check on one evidence record, as (ok, lhs, rhs)."""
+    ev = build_evidence(fam)
+    return {
+        cid: _FAMILY_CHECKS[cid](ev)[:3] for cid in CATALOG_IDS if cid in _FAMILY_CHECKS
+    }
 
 
 def test_stability_bound_peak_rooted_is_eq2():
@@ -225,41 +235,22 @@ def test_stability_bound_peak_rooted_is_eq2():
         st = stats(fam)
         assert st.max_rooted_count == m
         assert fam.total_size() == colex_total_size(m) + m
-        for variant in ("twelfth", "eighth"):
-            bound, holds = stability_bound(fam, variant)
-            assert holds and bound == colex_total_size(m) + m
+        rows = catalog_rows(fam)
+        for cid in STABILITY_CHECKS.values():
+            assert rows[cid] == (True, 0, 0), (m, cid)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 @pytest.mark.parametrize("variant", ["twelfth", "eighth"])
 def test_stability_bound_exhaustive(n, variant):
     for fam in simply_rooted_at(n):
-        bound, holds = stability_bound(fam, variant)
-        assert holds
+        ok, lhs, rhs = catalog_rows(fam)[STABILITY_CHECKS[variant]]
+        assert ok and lhs <= rhs, fam
 
 
 def test_stability_bound_rejects():
     with pytest.raises(DomainError):
-        stability_bound(Family.from_sets(2, [[1, 2]]), "twelfth")
-    with pytest.raises(DomainError):
-        stability_bound(Family.powerset(2), "sixth")
-
-
-# --- the inequality table ----------------------------------------------------------------
-
-
-EXPECTED_ROWS = [
-    "harris",
-    "split_rooted",
-    "lower_b",
-    "many_bad",
-    "split_rooted_2",
-    "many_bad_2",
-    "y_ge_z",
-    "refinement",
-    "bad_count_identity",
-    "bad_half_bridge",
-]
+        build_evidence(Family.from_sets(2, [[1, 2]]))
 
 
 def test_lower_bound_rows_all_pass_exhaustive():
@@ -267,21 +258,29 @@ def test_lower_bound_rows_all_pass_exhaustive():
         for fam in simply_rooted_at(n):
             if not len(fam):
                 continue
-            rows = bad_set_lower_bounds(fam)
-            assert [r.name for r in rows] == EXPECTED_ROWS
-            for row in rows:
-                assert row.passed, (fam, row)
-                assert row.slack == row.rhs - row.lhs
+            rows = catalog_rows(fam)
+            assert len(rows) == 29
+            for cid, (ok, _, _) in rows.items():
+                assert ok, (fam, cid)
+            # the bad-count identity is the first clause of lemma_split_rooted_2
+            ana = classify_sets(fam)
+            assert ana.side_s.mask & ana.side_t.mask & ~ana.full_shadow.mask == 0
+            assert ana.b == ana.b1 + ana.b2 + ana.b3 - len(ana.y)
 
 
 @settings(max_examples=250)
 @given(rooted_families(min_n=1, max_n=6))
 def test_bad_half_bridge_property(fam):
-    # total size stays under the colex bound minus half the bad count
+    # total size stays under the colex bound minus half the bad count: add the
+    # no-falls and full-shadow rows and use b <= |full shadow| + b3
     if not len(fam):
         return
-    rows = {r.name: r for r in bad_set_lower_bounds(fam)}
-    bridge = rows["bad_half_bridge"]
-    assert bridge.passed
+    rows = catalog_rows(fam)
+    ok1, total, rhs1 = rows["lemma_no_falls"]
+    ok2, _, rhs2 = rows["lemma_full_shadow"]
+    assert ok1 and ok2
     ana = classify_sets(fam)
-    assert bridge.rhs == colex_total_size(len(fam)) + len(fam) - Fraction(ana.b, 2)
+    assert ana.b <= len(ana.full_shadow) + ana.b3
+    bound = colex_total_size(len(fam)) + len(fam)
+    assert rhs1 + rhs2 == 2 * bound - len(ana.full_shadow) - ana.b3
+    assert 2 * total <= rhs1 + rhs2 <= 2 * bound - ana.b

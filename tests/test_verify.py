@@ -1,15 +1,19 @@
 """Check catalog, suite runner, and the constant-derivation chain."""
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from ucfam import DomainError, Family
-from ucfam.enumeration import EnumerationPlan
+from ucfam import DomainError, Family, complement
+from ucfam.enumeration import EnumerationPlan, _union_closed_masks
 from ucfam.verify import (
     CATALOG_IDS,
     PROBE_IDS,
     CheckDescriptor,
     ConstantChain,
+    _FAMILY_CHECKS,
+    _toggle_cell,
     catalog,
     check_few_with_root,
     derive_constants,
@@ -155,6 +159,26 @@ def test_report_json_shape():
     text = document_json(doc)
     assert text.endswith("\n")
     assert document_json(doc) == text
+
+
+def test_family_wall_times_are_per_check():
+    plan = EnumerationPlan(n=5, mode="random", sample_count=300, seed=3)
+    t0 = time.perf_counter()
+    reports = run_suite(catalog(plan))
+    elapsed = time.perf_counter() - t0
+    family_rows = [r for r in reports if r.id in _FAMILY_CHECKS]
+    assert all(r.wall_time >= 0 for r in family_rows)
+    assert sum(r.wall_time for r in family_rows) <= elapsed
+
+
+def test_toggle_cell_is_spread_over_the_cube():
+    # rooted_complement_duality toggles one cell per family; at n = 4 every
+    # one of the 16 cells must be reached about 4960 / 16 = 310 times
+    hits = Counter(
+        _toggle_cell(complement(Family(4, mask))) for mask in _union_closed_masks(4)
+    )
+    assert sorted(hits) == list(range(16))
+    assert all(200 <= count <= 420 for count in hits.values()), hits
 
 
 def test_render_table_layout():
