@@ -5,7 +5,8 @@ enumerate, but the stronger max-rooted-count form fails: the first witnesses
 live at n = 4, and random sampling keeps finding violations at every larger
 ground size we can reach.  This script prints the exhaustive n = 4 witness
 list grouped by relabeling class, then estimates violation rates by seeded
-sampling.
+sampling.  Both figures are the violations of the catalog probes
+probe_max_rooted_bound and probe_degree_bound in `run_suite` reports.
 
     python scripts/probe_conjectures.py --max-n 8 --samples 20000
 """
@@ -16,47 +17,42 @@ import sys
 from collections import defaultdict
 
 from ucfam import (
-    Family,
+    CheckReport,
     canonicalize,
+    catalog,
     colex_total_size,
     complement,
-    enumerate_simply_rooted,
+    family_from_text,
     family_to_text,
-    indexed_rooted_sample,
-    stats,
+    run_suite,
 )
 from ucfam.enumeration import EnumerationPlan
+from ucfam.verify import Violation
+
+PROBES = ("probe_max_rooted_bound", "probe_degree_bound")
 
 
-def rooted_peak(fam: Family) -> int:
-    return stats(fam).max_rooted_count
+def probe_rows(plan: EnumerationPlan) -> tuple[CheckReport, CheckReport]:
+    """The max-rooted and degree probe rows of a run over the plan's population."""
+    reports = run_suite([d for d in catalog(plan) if d.id in PROBES])
+    by_id = {r.id: r for r in reports}
+    return by_id[PROBES[0]], by_id[PROBES[1]]
 
 
-def degree_peak(fam: Family) -> int:
-    return max(stats(fam).degrees, default=0)
-
-
-def exhaustive_witnesses(n: int) -> dict[int, list[Family]]:
-    """Violations of the max-rooted form at ground size n, by canonical class."""
-    classes: dict[int, list[Family]] = defaultdict(list)
-    for fam in enumerate_simply_rooted(EnumerationPlan(n=n)):
-        excess = fam.total_size() - colex_total_size(len(fam)) - rooted_peak(fam)
-        if excess > 0:
-            classes[canonicalize(fam).mask].append(fam)
-    return classes
+def exhaustive_witnesses(n: int) -> tuple[int, dict[int, list[Violation]]]:
+    """Violations of the max-rooted form at ground size n: their count, and the
+    listed ones by canonical class."""
+    rooted, _ = probe_rows(EnumerationPlan(n=n))
+    classes: dict[int, list[Violation]] = defaultdict(list)
+    for v in rooted.violations:
+        classes[canonicalize(family_from_text(v.family)).mask].append(v)
+    return rooted.violations_seen, classes
 
 
 def sample_rates(n: int, samples: int, seed: int) -> tuple[int, int, int]:
-    rooted_bad = degree_bad = 0
     plan = EnumerationPlan(n=n, mode="random", sample_count=samples, seed=seed)
-    for index in range(samples):
-        fam = indexed_rooted_sample(plan, index)
-        base = fam.total_size() - colex_total_size(len(fam))
-        if base > rooted_peak(fam):
-            rooted_bad += 1
-        if base > degree_peak(fam):
-            degree_bad += 1
-    return rooted_bad, degree_bad, samples
+    rooted, degree = probe_rows(plan)
+    return rooted.violations_seen, degree.violations_seen, samples
 
 
 def main() -> int:
@@ -67,17 +63,16 @@ def main() -> int:
     args = ap.parse_args()
 
     for n in range(5):
-        classes = exhaustive_witnesses(n)
-        total = sum(len(v) for v in classes.values())
+        total, classes = exhaustive_witnesses(n)
         print(f"n = {n}: {total} max-rooted violations, {len(classes)} classes")
-        for mask, fams in sorted(classes.items()):
-            fam = fams[0]
+        for mask, listed in sorted(classes.items()):
+            v = listed[0]  # probe row: lhs = ||F||, rhs = ||I(m)|| + peak rooted count
+            fam = family_from_text(v.family)
             m = len(fam)
-            excess = fam.total_size() - colex_total_size(m) - rooted_peak(fam)
             print(
-                f"  class of {len(fams)} labelings, m = {m}, "
-                f"||F|| = {fam.total_size()}, ||I(m)|| = {colex_total_size(m)}, "
-                f"peak rooted = {rooted_peak(fam)}, excess = {excess}"
+                f"  class of {len(listed)} labelings, m = {m}, "
+                f"||F|| = {v.lhs}, ||I(m)|| = {colex_total_size(m)}, "
+                f"peak rooted = {v.rhs - colex_total_size(m)}, excess = {v.lhs - v.rhs}"
             )
             print("    representative (complement is union-closed of size "
                   f"{len(complement(fam))}):")

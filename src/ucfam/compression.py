@@ -8,9 +8,8 @@ sweeps apply every direction once, direction 1 first:
 
 Applying direction 1 first makes the two sweeps exact complements of each
 other: complement(d_i(F)) = u_i(complement(F)) cell for cell, and the same
-holds prefix by prefix.  full_up also accepts order="descending" (direction n
-first); that variant breaks the prefix correspondence and exists so the
-difference is itself observable (see tests).
+holds prefix by prefix.  With direction n first the two sweeps disagree
+already at n = 2, on the family {1}, {2}.
 
 A CompressionTrace records, for every original member, each step at which
 its image moved and where it landed.  Traces answer prefix queries exactly:
@@ -20,7 +19,6 @@ k) the image of the member s at that point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
 
 from . import bitops
 from .core import Family, complement, is_simply_rooted, is_union_closed, roots, set_text
@@ -29,8 +27,6 @@ from .errors import DomainError
 __all__ = [
     "CompressionTrace",
     "ReimerDecomposition",
-    "down_compress_dir",
-    "up_compress_dir",
     "full_down",
     "full_up",
     "reimer_decomposition",
@@ -38,29 +34,11 @@ __all__ = [
 ]
 
 
-def down_compress_dir(fam: Family, i: int) -> Family:
-    """One downward compression step in direction i."""
-    _check_dir(fam.n, i)
-    return Family(fam.n, bitops.down_step(fam.n, fam.mask, i))
-
-
-def up_compress_dir(fam: Family, i: int) -> Family:
-    """One upward compression step in direction i."""
-    _check_dir(fam.n, i)
-    return Family(fam.n, bitops.up_step(fam.n, fam.mask, i))
-
-
-def _check_dir(n: int, i: int) -> None:
-    if not 1 <= i <= n:
-        raise DomainError(f"direction {i} outside 1..{n}")
-
-
 @dataclass(frozen=True)
 class CompressionTrace:
     """Replayable record of a full compression sweep."""
 
     n: int
-    direction: Literal["down", "up"]
     directions: tuple[int, ...]
     original: Family
     prefix_masks: tuple[int, ...]  # length len(directions)+1, [0] is the original
@@ -134,25 +112,19 @@ def full_down(fam: Family) -> tuple[Family, CompressionTrace]:
     """Apply every downward direction once, direction 1 first, with trace."""
     dirs = tuple(range(1, fam.n + 1))
     prefixes, moves = _sweep(fam.n, fam.mask, dirs, down=True)
-    trace = CompressionTrace(fam.n, "down", dirs, fam, prefixes, moves)
+    trace = CompressionTrace(fam.n, dirs, fam, prefixes, moves)
     return trace.result, trace
 
 
-def full_up(fam: Family, order: Literal["ascending", "descending"] = "ascending") -> tuple[Family, CompressionTrace]:
-    """Apply every upward direction once, with trace.
+def full_up(fam: Family) -> tuple[Family, CompressionTrace]:
+    """Apply every upward direction once, direction 1 first, with trace.
 
-    order="ascending" (the default used everywhere in this package) applies
-    direction 1 first and is the exact mirror of full_down under
-    complementation.  order="descending" applies direction n first.
+    Direction 1 first makes this the exact mirror of full_down under
+    complementation, prefix by prefix.
     """
-    if order == "ascending":
-        dirs = tuple(range(1, fam.n + 1))
-    elif order == "descending":
-        dirs = tuple(range(fam.n, 0, -1))
-    else:
-        raise DomainError(f"unknown order {order!r}")
+    dirs = tuple(range(1, fam.n + 1))
     prefixes, moves = _sweep(fam.n, fam.mask, dirs, down=False)
-    trace = CompressionTrace(fam.n, "up", dirs, fam, prefixes, moves)
+    trace = CompressionTrace(fam.n, dirs, fam, prefixes, moves)
     return trace.result, trace
 
 
@@ -181,15 +153,22 @@ def reimer_decomposition(fam: Family) -> ReimerDecomposition:
     if not is_union_closed(fam):
         raise DomainError("family is not union-closed")
     final, trace = full_up(fam)
-    uppers = {s: trace.image(s) for s in fam}
+    uppers = trace.image_map()
+    covered, overlap = _cube_cover(uppers)
+    return ReimerDecomposition(fam, final, uppers, covered, overlap is None)
+
+
+def _cube_cover(uppers: dict[int, int]) -> tuple[int, tuple[int, int] | None]:
+    """Union of the cubes [A, u] over the pairs A -> u, and the first pair whose
+    cube meets an earlier one (None when the cubes are pairwise disjoint)."""
     covered = 0
-    disjoint = True
+    overlap = None
     for s, u in uppers.items():
         cube = bitops.interval(s, u)
-        if covered & cube:
-            disjoint = False
+        if overlap is None and covered & cube:
+            overlap = (s, u)
         covered |= cube
-    return ReimerDecomposition(fam, final, uppers, covered, disjoint)
+    return covered, overlap
 
 
 def _witness_from_traces(

@@ -135,14 +135,8 @@ class Family:
     def __iter__(self) -> Iterator[int]:
         return bitops.iter_bits(self.mask)
 
-    def sets(self) -> list[tuple[int, ...]]:
-        return [decode_set(s) for s in self]
-
     def total_size(self) -> int:
         return sum((bitops.axis(self.n, i) & self.mask).bit_count() for i in range(1, self.n + 1))
-
-    def restrict(self, cells_mask: int) -> "Family":
-        return Family(self.n, self.mask & cells_mask)
 
     def __str__(self) -> str:
         return f"Family(n={self.n}, {{{', '.join(set_text(s) for s in self)}}})"

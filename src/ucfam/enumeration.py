@@ -28,6 +28,7 @@ __all__ = [
     "enumerate_simply_rooted",
     "enumerate_union_closed",
     "extremal_search",
+    "population_size",
     "random_union_closed",
     "substream",
     "union_closure",
@@ -193,13 +194,26 @@ def enumerate_union_closed(plan: EnumerationPlan) -> Iterator[Family]:
         yield indexed_sample(plan, index)
 
 
+def population_size(plan: EnumerationPlan) -> int:
+    """Number of index positions of an unconstrained plan: the table size when
+    exhaustive, the sample count when random."""
+    if plan.mode == "exhaustive":
+        return len(_union_closed_masks(plan.n))
+    return plan.sample_count
+
+
 def indexed_sample(plan: EnumerationPlan, index: int) -> Family:
-    """Sample `index` of a random plan; pure function of (plan, index).
+    """Family `index` of the plan's union-closed stream; pure function of (plan, index).
 
     Index addressing is what makes sharded parallel runs reproducible: shard
     boundaries never shift the stream, because position i depends on nothing
-    but (seed, i).
+    but (seed, i), or on i alone for an exhaustive plan.  An exhaustive plan
+    must be unconstrained, since its admission filters would make stream
+    positions depend on earlier entries.
     """
+    if plan.mode == "exhaustive":
+        _require_unconstrained(plan)
+        return Family(plan.n, _union_closed_masks(plan.n)[index])
     for attempt in range(REJECTION_LIMIT):
         fam = _random_sample(plan.n, substream(plan.seed, (index << 20) | attempt))
         if plan.admits(fam):
@@ -208,14 +222,18 @@ def indexed_sample(plan: EnumerationPlan, index: int) -> Family:
 
 
 def indexed_rooted_sample(plan: EnumerationPlan, index: int) -> Family:
-    """Sample `index` of the simply rooted random stream.
+    """Family `index` of the plan's simply rooted stream.
 
     Only unconstrained plans are index-addressable: admission filters would
     make stream positions depend on earlier draws.
     """
+    _require_unconstrained(plan)
+    return complement(indexed_sample(plan, index))
+
+
+def _require_unconstrained(plan: EnumerationPlan) -> None:
     if plan.size is not None or plan.contains_empty is not None:
         raise DomainError("indexed access needs an unconstrained plan")
-    return complement(indexed_sample(plan, index))
 
 
 def enumerate_simply_rooted(plan: EnumerationPlan) -> Iterator[Family]:

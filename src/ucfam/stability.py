@@ -70,13 +70,12 @@ def largest_downset(fam: Family) -> Family:
 
 
 def full_shadow_mask(fam: Family) -> int:
-    """Cells of members with their whole shadow inside the family."""
-    fs = fam.mask
+    """Cells of members with their whole shadow inside the family: those that
+    fall in no direction of a down step."""
+    fallers = 0
     for i in range(1, fam.n + 1):
-        ax = bitops.axis(fam.n, i)
-        block = 1 << (i - 1)
-        fs &= ~ax | ((fam.mask & ~ax) << block)
-    return fs
+        fallers |= bitops.down_fallers(fam.n, fam.mask, i)
+    return fam.mask & ~fallers
 
 
 def deficiency_tight_family(m: int, k: int) -> Family:
@@ -165,7 +164,6 @@ def _partition_exhaustive(fam: Family, rooted: Sequence[int], target: int) -> Pa
 class BadSetAnalysis:
     """Outcome of classify_sets: the bad/good split and the partition counts."""
 
-    family: Family
     partition: Partition
     side_s: Family  # members rooted in S, plus {} when present
     side_t: Family
@@ -174,7 +172,6 @@ class BadSetAnalysis:
     bad: Family
     good: Family
     y: Family  # full-shadow members that are also fixed
-    trace: CompressionTrace
 
     @property
     def b(self) -> int:
@@ -218,7 +215,6 @@ def _classify(
     fixed = down.fixed_mask()
     bad = fs | fixed
     return BadSetAnalysis(
-        family=fam,
         partition=partition,
         side_s=Family(n, side_s),
         side_t=Family(n, side_t),
@@ -227,7 +223,6 @@ def _classify(
         bad=Family(n, bad),
         good=Family(n, fam.mask & ~bad),
         y=Family(n, fs & fixed),
-        trace=down,
     )
 
 

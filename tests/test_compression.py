@@ -151,20 +151,6 @@ def test_down_up_mirror_sampled(fam):
         assert complement(dtrace.prefix_family(k)) == utrace.prefix_family(k)
 
 
-def test_descending_up_order_breaks_the_mirror():
-    # the duality is direction-order sensitive: {1},{2} is the first witness
-    witness = next(
-        fam
-        for mask in range(1 << 4)
-        for fam in [Family(2, mask)]
-        if full_up(complement(fam), order="descending")[0]
-        != complement(full_down(fam)[0])
-    )
-    assert witness == Family.from_sets(2, [[1], [2]])
-    with pytest.raises(DomainError):
-        full_up(witness, order="sideways")
-
-
 # --- cube decompositions ------------------------------------------------------------------
 
 

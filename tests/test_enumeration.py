@@ -28,6 +28,7 @@ from ucfam import (
     is_union_closed,
     random_union_closed,
 )
+from ucfam.enumeration import population_size
 
 UNION_CLOSED_COUNTS = {0: 2, 1: 4, 2: 14, 3: 122, 4: 4960}
 
@@ -106,20 +107,27 @@ def test_random_stream_is_reproducible():
 
 
 def test_indexed_sample_matches_stream_order():
-    plan = EnumerationPlan(n=5, mode="random", sample_count=25, seed=3)
-    stream = list(enumerate_union_closed(plan))
-    for i in (0, 7, 24):
-        assert indexed_sample(plan, i) == stream[i]
-    rooted_stream = list(enumerate_simply_rooted(plan))
-    for i in (0, 13):
-        assert indexed_rooted_sample(plan, i) == rooted_stream[i]
-        assert indexed_rooted_sample(plan, i) == complement(stream[i])
+    random = EnumerationPlan(n=5, mode="random", sample_count=25, seed=3)
+    exhaustive = EnumerationPlan(n=3)
+    for plan, indices in ((random, (0, 7, 13, 24)), (exhaustive, range(UNION_CLOSED_COUNTS[3]))):
+        stream = list(enumerate_union_closed(plan))
+        rooted_stream = list(enumerate_simply_rooted(plan))
+        assert population_size(plan) == len(stream)
+        for i in indices:
+            assert indexed_sample(plan, i) == stream[i]
+            assert indexed_rooted_sample(plan, i) == rooted_stream[i]
+            assert indexed_rooted_sample(plan, i) == complement(stream[i])
 
 
 def test_indexed_sample_rejects_constrained_plans():
     plan = EnumerationPlan(n=3, mode="random", sample_count=5, seed=0, size=4)
     with pytest.raises(DomainError):
         indexed_rooted_sample(plan, 0)
+    exhaustive = EnumerationPlan(n=3, contains_empty=True)
+    with pytest.raises(DomainError):
+        indexed_sample(exhaustive, 0)
+    with pytest.raises(DomainError):
+        indexed_rooted_sample(exhaustive, 0)
 
 
 def test_random_plan_respects_filters():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ucfam import DomainError, Family, complement
+from ucfam import DomainError, Family, complement, verify
 from ucfam.enumeration import EnumerationPlan, _union_closed_masks
 from ucfam.verify import (
     CATALOG_IDS,
@@ -56,6 +56,32 @@ def test_catalog_descriptor_fields():
     # family-scope entries carry the plan; with no plan nothing does
     assert any(d.population == EXHAUSTIVE_2 for d in entries)
     assert all(d.population is None for d in catalog())
+
+
+def test_private_names_the_benchmark_reads():
+    # bench/layers.py times each family check, replays the two global sweeps
+    # and wraps the shard function through these module attributes
+    family_scope = [cid for cid in CATALOG_IDS + PROBE_IDS if cid != "lemma_colex_total"]
+    assert len(family_scope) == 32
+    assert list(_FAMILY_CHECKS) == family_scope
+    assert set(verify._GLOBAL_CHECKS) == {"lemma_colex_total", "lemma_deficiency"}
+    assert verify._GLOBAL_CHECKS["lemma_deficiency"](EXHAUSTIVE_2).violations == []
+
+
+def test_serial_suite_calls_the_shard_module_attribute(monkeypatch):
+    calls = []
+    original = verify._run_shard
+
+    def counted(args):
+        calls.append(args)
+        return original(args)
+
+    monkeypatch.setattr(verify, "_run_shard", counted)
+    plan = EnumerationPlan(n=4, mode="random", sample_count=verify.SHARD_SIZE + 1, seed=5)
+    ids = ["rooted_size_bound", "thm_stability_8"]
+    reports = run_suite([d for d in catalog(plan) if d.id in ids], parallelism=1)
+    assert len(calls) == 2
+    assert [r.instances_tested for r in reports] == [verify.SHARD_SIZE + 1] * 2
 
 
 # ---------------------------------------------------------------------------
