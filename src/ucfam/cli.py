@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from . import colex
+from . import bitops, colex
 from .core import (
     Family,
     decode_set,
@@ -124,10 +124,10 @@ def _analyze_document(fam: Family) -> dict:
     if not doc["simply_rooted"]:
         return doc
     ev = build_evidence(fam)
-    moves = [0] * len(ev.down.directions)
-    for mv in ev.down.moves.values():
-        for step_index, _ in mv:
-            moves[step_index - 1] += 1
+    moves = [0] * fam.n
+    for a, g in ev.down.groups.items():
+        for b in bitops.iter_bits(a):
+            moves[b] += g.bit_count()
     doc["deficiency"] = deficiency(fam)
     doc["compression"] = {
         "directions": list(ev.down.directions),

@@ -11,17 +11,21 @@ other: complement(d_i(F)) = u_i(complement(F)) cell for cell, and the same
 holds prefix by prefix.  With direction n first the two sweeps disagree
 already at n = 2, on the family {1}, {2}.
 
-A CompressionTrace records, for every original member, each step at which
-its image moved and where it landed.  Traces answer prefix queries exactly:
-prefix_family(k) is the family after the first k directions, prefix_image(s,
-k) the image of the member s at that point.
+Direction i only ever removes (or adds) element i, so a member's whole
+history is its moved set A: the directions at which it moved.  Its image after
+the first k directions is s ^ (A & (2^k - 1)): s minus those elements for the
+down sweep, s plus them for the up sweep.  A CompressionTrace keeps, per
+history A, the mask of the original members that share it, so every query is
+mask algebra over a few groups: prefix_family(k) is the family after the
+first k directions, prefix_image(s, k) the image of the member s at that point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from . import bitops
-from .core import Family, complement, is_simply_rooted, is_union_closed, roots, set_text
+from .core import Family, _require_simply_rooted, complement, is_union_closed, set_text
 from .errors import DomainError
 
 __all__ = [
@@ -36,24 +40,51 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompressionTrace:
-    """Replayable record of a full compression sweep."""
+    """Replayable record of a full compression sweep, direction 1 first.
+
+    `groups` maps each history (moved set A, an encoded element set) to the
+    mask of original members with that history; members that never moved
+    form group 0.  The groups partition the original family.  No history is
+    assumed: a member that moved twice is a group with two elements in A.
+    """
 
     n: int
-    directions: tuple[int, ...]
     original: Family
-    prefix_masks: tuple[int, ...]  # length len(directions)+1, [0] is the original
-    moves: dict[int, tuple[tuple[int, int], ...]] = field(repr=False)
+    prefix_masks: tuple[int, ...]  # length n+1, [0] is the original
+    groups: dict[int, int] = field(repr=False)
+
+    @property
+    def directions(self) -> tuple[int, ...]:
+        return tuple(range(1, self.n + 1))
 
     @property
     def result(self) -> Family:
         return Family(self.n, self.prefix_masks[-1])
 
+    @property
+    def moves(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Per moved member, each (direction, cell it landed on), in sweep order."""
+        out = {}
+        for a, g in self.groups.items():
+            if not a:
+                continue
+            steps = [1 << b for b in bitops.iter_bits(a)]
+            for s in bitops.iter_bits(g):
+                out[s] = tuple(
+                    (step.bit_length(), s ^ (a & (2 * step - 1))) for step in steps
+                )
+        return dict(sorted(out.items()))
+
+    def moved_set(self, s: int) -> int:
+        """History of original member s: the encoded set of directions it moved at."""
+        for a, g in self.groups.items():
+            if (g >> s) & 1:
+                return a
+        raise DomainError(f"{set_text(s)} is not an original member")
+
     def image(self, s: int) -> int:
         """Final image of original member s."""
-        if s not in self.original:
-            raise DomainError(f"{set_text(s)} is not an original member")
-        mv = self.moves.get(s)
-        return mv[-1][1] if mv else s
+        return s ^ self.moved_set(s)
 
     def prefix_family(self, k: int) -> Family:
         """Family after the first k directions (k = 0 is the original)."""
@@ -61,58 +92,63 @@ class CompressionTrace:
 
     def prefix_image(self, s: int, k: int) -> int:
         """Image of original member s after the first k directions."""
-        if s not in self.original:
-            raise DomainError(f"{set_text(s)} is not an original member")
-        out = s
-        for step_index, cell in self.moves.get(s, ()):
-            if step_index > k:
-                break
-            out = cell
-        return out
+        return s ^ (self.moved_set(s) & ((1 << k) - 1))
 
     def image_map(self) -> dict[int, int]:
-        return {s: self.image(s) for s in self.original}
+        out = {s: s ^ a for a, g in self.groups.items() for s in bitops.iter_bits(g)}
+        return dict(sorted(out.items()))
 
     def fixed_mask(self) -> int:
         """Cells of members that never moved."""
-        moved = 0
-        for s in self.moves:
-            moved |= 1 << s
-        return self.original.mask & ~moved
+        return self.groups.get(0, 0)
+
+    def moved_mask(self) -> int:
+        """Cells of members that moved at least once."""
+        return self.original.mask & ~self.fixed_mask()
+
+    def same_images(self, other: CompressionTrace) -> int:
+        """Cells of both originals that this sweep and `other`, in the same
+        direction, carry to the same image: those with the same history."""
+        out = 0
+        for a, g in self.groups.items():
+            h = other.groups.get(a)
+            if h:
+                out |= g & h
+        return out
 
 
-def _sweep(
-    n: int,
-    mask: int,
-    directions: tuple[int, ...],
-    down: bool,
-) -> tuple[tuple[int, ...], dict[int, tuple[tuple[int, int], ...]]]:
-    cur = mask
-    prefixes = [mask]
-    relocated: dict[int, int] = {}  # current cell -> original cell, moved sets only
-    moves: dict[int, list[tuple[int, int]]] = {}
-    for step_index, i in enumerate(directions, start=1):
+def _sweep(fam: Family, down: bool) -> CompressionTrace:
+    """Run directions 1..n, splitting each history group by the step's movers."""
+    n = fam.n
+    cur = fam.mask
+    prefixes = [cur]
+    groups = {0: cur} if cur else {}
+    for i in range(1, n + 1):
+        block = 1 << (i - 1)
         if down:
             fall = bitops.down_fallers(n, cur, i)
+            cur ^= fall | (fall >> block)
         else:
             fall = bitops.up_fallers(n, cur, i)
-        block = 1 << (i - 1)
-        for c in bitops.iter_bits(fall):
-            orig = relocated.pop(c, c)
-            target = c - block if down else c + block
-            relocated[target] = orig
-            moves.setdefault(orig, []).append((step_index, target))
-        cur = bitops.down_step(n, cur, i) if down else bitops.up_step(n, cur, i)
+            cur ^= fall | (fall << block)
         prefixes.append(cur)
-    frozen = {s: tuple(mv) for s, mv in moves.items()}
-    return tuple(prefixes), frozen
+        if not fall:
+            continue
+        for a, g in list(groups.items()):
+            # the members of g sit at s ^ a; pick those at a falling cell
+            moved = g & ((fall << a) if down else (fall >> a))
+            if moved:
+                groups[a | block] = moved
+                if moved == g:
+                    del groups[a]
+                else:
+                    groups[a] = g ^ moved
+    return CompressionTrace(n, fam, tuple(prefixes), groups)
 
 
 def full_down(fam: Family) -> tuple[Family, CompressionTrace]:
     """Apply every downward direction once, direction 1 first, with trace."""
-    dirs = tuple(range(1, fam.n + 1))
-    prefixes, moves = _sweep(fam.n, fam.mask, dirs, down=True)
-    trace = CompressionTrace(fam.n, dirs, fam, prefixes, moves)
+    trace = _sweep(fam, down=True)
     return trace.result, trace
 
 
@@ -122,9 +158,7 @@ def full_up(fam: Family) -> tuple[Family, CompressionTrace]:
     Direction 1 first makes this the exact mirror of full_down under
     complementation, prefix by prefix.
     """
-    dirs = tuple(range(1, fam.n + 1))
-    prefixes, moves = _sweep(fam.n, fam.mask, dirs, down=False)
-    trace = CompressionTrace(fam.n, dirs, fam, prefixes, moves)
+    trace = _sweep(fam, down=False)
     return trace.result, trace
 
 
@@ -153,42 +187,58 @@ def reimer_decomposition(fam: Family) -> ReimerDecomposition:
     if not is_union_closed(fam):
         raise DomainError("family is not union-closed")
     final, trace = full_up(fam)
-    uppers = trace.image_map()
-    covered, overlap = _cube_cover(uppers)
-    return ReimerDecomposition(fam, final, uppers, covered, overlap is None)
+    covered, overlap = _cube_cover(trace)
+    return ReimerDecomposition(fam, final, trace.image_map(), covered, overlap is None)
 
 
-def _cube_cover(uppers: dict[int, int]) -> tuple[int, tuple[int, int] | None]:
-    """Union of the cubes [A, u] over the pairs A -> u, and the first pair whose
-    cube meets an earlier one (None when the cubes are pairwise disjoint)."""
+def _cube_cover(up: CompressionTrace) -> tuple[int, tuple[int, int] | None]:
+    """Union of the cubes [A, u(A)] of an up sweep, and the first pair A -> u(A)
+    whose cube meets an earlier group's cubes (None when they are pairwise disjoint).
+
+    A group with history U holds the cubes [A, A + U] of its members A.
+    Those never meet each other (a cell X of one determines A = X - U), and
+    their union is the group mask spread along every element of U.
+    """
     covered = 0
     overlap = None
-    for s, u in uppers.items():
-        cube = bitops.interval(s, u)
-        if overlap is None and covered & cube:
-            overlap = (s, u)
-        covered |= cube
+    for u, g in up.groups.items():
+        cubes = g
+        for b in bitops.iter_bits(u):
+            cubes |= cubes << (1 << b)
+        if overlap is None and covered & cubes:
+            overlap = next(
+                (a, a ^ u) for a in bitops.iter_bits(g) if bitops.interval(a, a ^ u) & covered
+            )
+        covered |= cubes
     return covered, overlap
 
 
-def _witness_from_traces(
-    down_trace: CompressionTrace,
-    up_trace: CompressionTrace,
-    root_set: int,
-    s: int,
-) -> tuple[int, int] | None:
-    """Shared witness logic: first fall step k and preimage A = s minus its roots.
+def _witnessed(down: CompressionTrace, up: CompressionTrace, rooted: Sequence[int]) -> int:
+    """Moved members s of the down sweep with a witness: A = s minus its roots
+    is a member of the up sweep's original that the first k directions carry
+    onto s, k being the direction of the first fall of s.
 
-    None when s never moves or that one candidate is not carried onto s.
+    With U the up history of A that means U & (2^k - 1) = roots(s), so per
+    first-fall direction k and up group U the witnessed cells are the group
+    shifted onto A + (U & (2^k - 1)) among the members rooted at exactly that set.
     """
-    mv = down_trace.moves.get(s)
-    if not mv:
-        return None
-    k = mv[0][0]
-    a = s & ~root_set
-    if a in up_trace.original and up_trace.prefix_image(a, k) == s:
-        return k, a
-    return None
+    first_fall: dict[int, int] = {}  # k -> moved members whose first fall is at direction k
+    for a, g in down.groups.items():
+        if a:
+            k = (a & -a).bit_length()
+            first_fall[k] = first_fall.get(k, 0) | g
+    exact: dict[int, int] = {}
+    out = 0
+    for k, cells in first_fall.items():
+        low = (1 << k) - 1
+        for u, h in up.groups.items():
+            r = u & low
+            hits = (h << r) & cells
+            if hits:
+                if r not in exact:
+                    exact[r] = bitops.rooted_exactly(rooted, r)
+                out |= hits & exact[r]
+    return out
 
 
 def uc_image_witness(fam: Family, s: int) -> tuple[int, int]:
@@ -198,15 +248,16 @@ def uc_image_witness(fam: Family, s: int) -> tuple[int, int]:
     A is s stripped of its roots.  DomainError if s never moves (no witness
     exists), or on precondition violations.
     """
-    if not is_simply_rooted(fam):
-        raise DomainError("family is not simply rooted")
+    rooted = bitops.rooted_masks(fam.n, fam.mask)
+    _require_simply_rooted(fam, rooted)
     if s not in fam:
         raise DomainError(f"{set_text(s)} is not a member")
     _, down_trace = full_down(fam)
-    if down_trace.image(s) == s:
+    moved = down_trace.moved_set(s)
+    if not moved:
         raise DomainError(f"{set_text(s)} is fixed by the downward sweep")
     _, up_trace = full_up(complement(fam))
-    out = _witness_from_traces(down_trace, up_trace, roots(fam, s), s)
-    if out is None:  # mathematically impossible; guard against implementation bugs
+    if not (_witnessed(down_trace, up_trace, rooted) >> s) & 1:
+        # mathematically impossible; guard against implementation bugs
         raise RuntimeError(f"no witness found for {set_text(s)}")
-    return out
+    return (moved & -moved).bit_length(), s & ~bitops.root_set(rooted, s)

@@ -148,9 +148,27 @@ def complement(fam: Family) -> Family:
 
 
 def is_union_closed(fam: Family) -> bool:
-    """Closed under pairwise unions (empty set not required; empty family passes)."""
+    """Closed under pairwise unions (empty set not required; empty family passes).
+
+    Tests union_image(F, s) <= F for every member s.  The image for s is the
+    image for s minus its top element joined with that element, so images
+    are memoized by that low part and members sharing it share the work.
+    The memo is filled by a loop: a recursive nested function would be a
+    reference cycle holding every image until the cyclic collector runs.
+    """
+    n, mask = fam.n, fam.mask
+    images = {0: mask}
     for s in fam:
-        if bitops.union_image(fam.n, fam.mask, s) & ~fam.mask:
+        pending = []  # s and its low parts whose images are not known yet
+        low = s
+        while low not in images:
+            pending.append(low)
+            low ^= 1 << (low.bit_length() - 1)
+        img = images[low]
+        for t in reversed(pending):
+            img = bitops.or_with_element(n, img, t.bit_length())
+            images[t] = img
+        if img & ~mask:
             return False
     return True
 

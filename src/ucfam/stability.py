@@ -249,9 +249,5 @@ def _z_mask(
     shared: int, down: CompressionTrace, trace_s: CompressionTrace, trace_t: CompressionTrace
 ) -> int:
     """Cells of `shared` whose images under the three sweeps are pairwise distinct."""
-    out = 0
-    for s in bitops.iter_bits(shared):
-        i0, i1, i2 = down.image(s), trace_s.image(s), trace_t.image(s)
-        if i0 != i1 and i0 != i2 and i1 != i2:
-            out |= 1 << s
-    return out
+    same = down.same_images(trace_s) | down.same_images(trace_t) | trace_s.same_images(trace_t)
+    return shared & ~same

@@ -36,7 +36,7 @@ from .colex import (
     segment_bound_sixths,
     total_size_range,
 )
-from .compression import CompressionTrace, _cube_cover, _witness_from_traces, full_down, full_up
+from .compression import CompressionTrace, _cube_cover, _witnessed, full_down, full_up
 from .core import (
     Family,
     _require_simply_rooted,
@@ -211,7 +211,6 @@ class Evidence:
     peak: int  # smallest element attaining q, 1-based; 0 when n = 0
     down: CompressionTrace
     up: CompressionTrace  # ascending sweep of the complement
-    uppers: dict[int, int]
     analysis: BadSetAnalysis
     trace_s: CompressionTrace
     trace_t: CompressionTrace
@@ -253,7 +252,6 @@ def build_evidence(fam: Family) -> Evidence:
         peak=peak,
         down=down,
         up=up,
-        uppers=up.image_map(),
         analysis=analysis,
         trace_s=trace_s,
         trace_t=trace_t,
@@ -279,13 +277,35 @@ def _chk_eq1_duality(ev: Evidence) -> Outcome:
 
 
 def _chk_rooted_complement_duality(ev: Evidence) -> Outcome:
-    """On the family itself, then again after toggling one cell of the cube."""
-    if is_simply_rooted(ev.fam) != is_union_closed(ev.comp):
-        return False, int(is_simply_rooted(ev.fam)), int(is_union_closed(ev.comp)), None
-    toggled = Family(ev.fam.n, ev.fam.mask ^ (1 << _toggle_cell(ev.fam)))
-    lhs = int(is_simply_rooted(toggled))
-    rhs = int(is_union_closed(complement(toggled)))
+    """On the family itself, then again after toggling one cell of the cube.
+
+    The first clause shows the complement union-closed by the full test (the
+    evidence family is simply rooted), so the toggled complement, one cell
+    away from it, is tested incrementally.
+    """
+    lhs, rhs = is_simply_rooted(ev.fam), is_union_closed(ev.comp)
+    if lhs != rhs or not rhs:
+        return False, int(lhs), int(rhs), None
+    cell = _toggle_cell(ev.fam)
+    lhs = int(is_simply_rooted(Family(ev.fam.n, ev.fam.mask ^ (1 << cell))))
+    rhs = int(_toggle_keeps_union_closed(ev.fam.n, ev.comp.mask, cell))
     return lhs == rhs, lhs, rhs, None
+
+
+def _toggle_keeps_union_closed(n: int, closed: int, c: int) -> bool:
+    """Whether the union-closed family `closed` stays union-closed with cell c toggled.
+
+    Adding c: every member joined with c must land in the family or on c.
+    Removing c: c must not be the union of two members strictly inside it;
+    in a union-closed family that happens iff the members strictly inside c
+    cover every element of c.
+    """
+    if not (closed >> c) & 1:
+        return bitops.union_image(n, closed, c) & ~(closed | (1 << c)) == 0
+    inside = closed & bitops.interval(0, c) & ~(1 << c)
+    if not inside:
+        return True
+    return any(not inside & bitops.axis(n, b + 1) for b in bitops.iter_bits(c))
 
 
 def _toggle_cell(fam: Family) -> int:
@@ -311,22 +331,28 @@ def _chk_reimer_basics(ev: Evidence) -> Outcome:
     return True, 0, 0, None
 
 
+def _lowest(cells: int) -> int:
+    return (cells & -cells).bit_length() - 1
+
+
 def _chk_rooted_basics(ev: Evidence) -> Outcome:
     n = ev.fam.n
-    for s, mv in ev.down.moves.items():
-        img = mv[-1][1]
-        if img & ~s or (s & ~img).bit_count() > 1:
-            return False, s, img, None
+    groups = ev.down.groups
+    for a, g in groups.items():
+        if a.bit_count() > 1:
+            s = _lowest(g)
+            return False, s, s ^ a, None
     for k in range(1, n + 1):
+        low = (1 << k) - 1
         core = None  # cells whose whole power set sits inside the k-prefix
-        for s, mv in ev.down.moves.items():
-            if mv[0][0] > k:
+        for a, g in groups.items():
+            if not a & low:  # not fallen within the first k directions
                 continue
             if core is None:
                 core = bitops.subset_and(n, ev.down.prefix_masks[k])
-            img = ev.down.prefix_image(s, k)
-            if not (core >> img) & 1:
-                return False, img, k, None
+            outside = (g >> (a & low)) & ~core  # prefix images s - (a & low)
+            if outside:
+                return False, _lowest(outside), k, None
     return True, 0, 0, None
 
 
@@ -352,16 +378,20 @@ def _chk_deficiency(ev: Evidence) -> Outcome:
 
 def _chk_forced_fall(ev: Evidence) -> Outcome:
     n, mask = ev.fam.n, ev.fam.mask
-    miss: dict[int, int] = {}
+    misses = []  # misses[i-1]: members missing their shadow set B - i
+    seen = 0
     for i in range(1, n + 1):
-        for s in bitops.iter_bits(bitops.down_fallers(n, mask, i)):
-            if s in miss:
-                return False, s, 2, None
-            miss[s] = s ^ (1 << (i - 1))
-    for s, low in miss.items():
-        img = ev.down.image(s)
-        if img != s and img != low:
-            return False, s, img, None
+        miss = bitops.down_fallers(n, mask, i)
+        if miss & seen:
+            return False, _lowest(miss & seen), 2, None
+        seen |= miss
+        misses.append(miss)
+    stay = ev.down.fixed_mask()
+    for i, miss in enumerate(misses):
+        off = miss & ~(stay | ev.down.groups.get(1 << i, 0))
+        if off:
+            s = _lowest(off)
+            return False, s, ev.down.image(s), None
     return True, 0, 0, None
 
 
@@ -370,7 +400,7 @@ def _chk_smaller_falls(ev: Evidence) -> Outcome:
     for tr in (ev.trace_s, ev.trace_t):
         stuck = tr.fixed_mask() & ~down_fixed
         if stuck:
-            s = (stuck & -stuck).bit_length() - 1
+            s = _lowest(stuck)
             return False, s, ev.down.image(s), None
     return True, 0, 0, None
 
@@ -378,9 +408,10 @@ def _chk_smaller_falls(ev: Evidence) -> Outcome:
 def _chk_good_fall(ev: Evidence) -> Outcome:
     good = ev.analysis.good.mask
     for side, tr in ((ev.analysis.side_s, ev.trace_s), (ev.analysis.side_t, ev.trace_t)):
-        for s in bitops.iter_bits(good & side.mask):
-            if tr.image(s) != ev.down.image(s):
-                return False, tr.image(s), ev.down.image(s), None
+        off = good & side.mask & ~ev.down.same_images(tr)
+        if off:
+            s = _lowest(off)
+            return False, tr.image(s), ev.down.image(s), None
     return True, 0, 0, None
 
 
@@ -498,7 +529,7 @@ def _stability_check(c: int) -> FamilyCheck:
 
 
 def _chk_reimer_cubes(ev: Evidence) -> Outcome:
-    covered, overlap = _cube_cover(ev.uppers)
+    covered, overlap = _cube_cover(ev.up)
     if overlap is not None:
         s, u = overlap
         return False, s, u, None
@@ -508,37 +539,54 @@ def _chk_reimer_cubes(ev: Evidence) -> Outcome:
 
 
 def _chk_uc_image(ev: Evidence) -> Outcome:
-    for s in ev.down.moves:
-        if _witness_from_traces(ev.down, ev.up, bitops.root_set(ev.rooted, s), s) is None:
-            return False, s, -1, None
+    moved = ev.down.moved_mask()
+    unwitnessed = moved & ~_witnessed(ev.down, ev.up, ev.rooted)
+    if unwitnessed:
+        return False, _lowest(unwitnessed), -1, None
     return True, 0, 0, None
 
 
 def _chk_cube_set(ev: Evidence) -> Outcome:
-    for a, u in ev.uppers.items():
-        for s in bitops.iter_bits(bitops.interval(a, u) & ev.fam.mask):
-            if s & ~bitops.root_set(ev.rooted, s) != a:
-                return False, s, a, None
+    """The members of the cubes [A, A + U] of up group U are the cells A + R,
+    R inside U; each must have root set exactly R, so that it minus its roots is A."""
+    exact: dict[int, int] = {}
+    for u, g in ev.up.groups.items():
+        r = u
+        while r:
+            members = (g << r) & ev.fam.mask
+            if members:
+                if r not in exact:
+                    exact[r] = bitops.rooted_exactly(ev.rooted, r)
+                off = members & ~exact[r]
+                if off:
+                    s = _lowest(off)
+                    return False, s, s ^ r, None
+            r = (r - 1) & u
     return True, 0, 0, None
 
 
 def _chk_root_fall(ev: Evidence) -> Outcome:
-    for s, mv in ev.down.moves.items():
-        img = mv[-1][1]
-        drop = s & ~img
-        if drop.bit_count() != 1:
-            return False, s, img, None
-        if not (ev.rooted[drop.bit_length() - 1] >> s) & 1:
-            return False, s, img, None
+    for a, g in ev.down.groups.items():
+        if not a:
+            continue
+        off = g if a.bit_count() != 1 else g & ~ev.rooted[a.bit_length() - 1]
+        if off:
+            s = _lowest(off)
+            return False, s, s ^ a, None
     return True, 0, 0, None
 
 
 def _chk_z_roots(ev: Evidence) -> Outcome:
-    for s in bitops.iter_bits(ev.z_mask):
-        k = bitops.root_set(ev.rooted, s).bit_count()
-        need = 3 if s in ev.down.moves else 2
-        if k < need:
-            return False, s, k, None
+    two = three = some = 0  # cells with at least 2, 3 and 1 roots
+    for r in ev.rooted:
+        three |= two & r
+        two |= some & r
+        some |= r
+    moved = ev.down.moved_mask()
+    short = ev.z_mask & ((moved & ~three) | (~moved & ~two))
+    if short:
+        s = _lowest(short)
+        return False, s, bitops.root_set(ev.rooted, s).bit_count(), None
     return True, 0, 0, None
 
 

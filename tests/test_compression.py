@@ -8,6 +8,7 @@ from conftest import families, members, rooted_families, simply_rooted_at, union
 from ucfam import (
     DomainError,
     Family,
+    bitops,
     complement,
     decode_set,
     encode_set,
@@ -19,6 +20,7 @@ from ucfam import (
     roots,
     uc_image_witness,
 )
+from ucfam.compression import _cube_cover, _witnessed
 
 
 # --- a pure-set oracle for one compression step -----------------------------------
@@ -128,6 +130,76 @@ def test_trace_image_requires_membership():
         trace.image(0b10)
 
 
+# --- history groups against a per-cell sweep replay ------------------------------------
+
+
+def replay_sweep(fam: Family, down: bool) -> list[dict[int, int]]:
+    """Cell of every original member after each prefix of the sweep, one cell at a time."""
+    pos = {s: s for s in fam}
+    out = [dict(pos)]
+    for i in range(fam.n):
+        bit = 1 << i
+        occupied = set(pos.values())
+        step = {}
+        for s, c in pos.items():
+            target = c & ~bit if down else c | bit
+            step[s] = target if target != c and target not in occupied else c
+        pos = step
+        out.append(dict(pos))
+    return out
+
+
+def assert_trace_matches_replay(fam: Family) -> None:
+    for down, sweep in ((True, full_down), (False, full_up)):
+        _, trace = sweep(fam)
+        cells = replay_sweep(fam, down)
+        n = fam.n
+        for k in range(n + 1):
+            assert trace.prefix_masks[k] == Family.from_cells(n, cells[k].values()).mask
+            for s in fam:
+                assert trace.prefix_image(s, k) == cells[k][s]
+        for s in fam:
+            assert trace.image(s) == cells[n][s]
+        assert trace.fixed_mask() == Family.from_cells(
+            n, (s for s in fam if cells[n][s] == s)
+        ).mask
+        moves = {}
+        for s in fam:
+            steps = tuple(
+                (k, cells[k][s]) for k in range(1, n + 1) if cells[k][s] != cells[k - 1][s]
+            )
+            if steps:
+                moves[s] = steps
+        assert trace.moves == moves
+        assert trace.moved_mask() == Family.from_cells(n, moves).mask
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_group_traces_match_cell_replay_exhaustive(n):
+    for mask in range(1 << (1 << n)):
+        assert_trace_matches_replay(Family(n, mask))
+
+
+@settings(max_examples=120)
+@given(families(max_n=8))
+def test_group_traces_match_cell_replay_sampled(fam):
+    assert_trace_matches_replay(fam)
+
+
+@settings(max_examples=60)
+@given(rooted_families(max_n=8))
+def test_group_traces_match_cell_replay_rooted(fam):
+    assert_trace_matches_replay(fam)
+    assert_trace_matches_replay(complement(fam))
+
+
+def test_double_drop_is_a_two_element_history():
+    # {1,2} alone drops 1 at direction 1, then 2 at direction 2
+    _, trace = full_down(Family.from_sets(2, [[1, 2]]))
+    assert trace.groups == {0b11: 1 << 0b11}
+    assert trace.moves == {0b11: ((1, 0b10), (2, 0))}
+
+
 # --- the mirror duality ----------------------------------------------------------------
 
 
@@ -163,6 +235,71 @@ def test_reimer_cubes_tile_exhaustive(n):
         assert dec.covered.bit_count() == dec.total_cube_cells
         # each member sits at the bottom of its own cube
         assert fam.mask & ~dec.covered == 0
+
+
+def cube_cover_reference(uppers: dict[int, int]) -> tuple[int, bool]:
+    covered = 0
+    disjoint = True
+    for a, u in uppers.items():
+        cube = bitops.interval(a, u)
+        disjoint &= not covered & cube
+        covered |= cube
+    return covered, disjoint
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_cube_cover_matches_pairwise_reference(n):
+    # any family's up sweep, union-closed or not, so overlaps occur too
+    overlaps = 0
+    for mask in range(1 << (1 << n)):
+        _, trace = full_up(Family(n, mask))
+        uppers = trace.image_map()
+        covered, overlap = _cube_cover(trace)
+        assert (covered, overlap is None) == cube_cover_reference(uppers)
+        if overlap is not None:
+            overlaps += 1
+            a, u = overlap
+            assert uppers[a] == u
+            others = {b: v for b, v in uppers.items() if b != a}
+            assert bitops.interval(a, u) & cube_cover_reference(others)[0]
+    assert n < 2 or overlaps
+
+
+def witnessed_reference(fam: Family) -> int:
+    """Moved members s whose candidate A = s minus its roots is carried onto s
+    by the complement's up sweep within the direction of the first fall of s."""
+    rooted = bitops.rooted_masks(fam.n, fam.mask)
+    _, down = full_down(fam)
+    _, up = full_up(complement(fam))
+    out = 0
+    for s, steps in down.moves.items():
+        a = s & ~bitops.root_set(rooted, s)
+        if a in up.original and up.prefix_image(a, steps[0][0]) == s:
+            out |= 1 << s
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_witnessed_matches_cell_reference(n):
+    # any family, so members without a witness occur too
+    misses = 0
+    for mask in range(1 << (1 << n)):
+        fam = Family(n, mask)
+        _, down = full_down(fam)
+        _, up = full_up(complement(fam))
+        got = _witnessed(down, up, bitops.rooted_masks(n, mask))
+        assert got == witnessed_reference(fam)
+        misses += got != down.moved_mask()
+    assert n < 2 or misses
+
+
+@settings(max_examples=60)
+@given(rooted_families(min_n=4, max_n=8))
+def test_witnessed_covers_every_moved_member(fam):
+    _, down = full_down(fam)
+    _, up = full_up(complement(fam))
+    got = _witnessed(down, up, bitops.rooted_masks(fam.n, fam.mask))
+    assert got == witnessed_reference(fam) == down.moved_mask()
 
 
 def test_reimer_rejects_non_union_closed():

@@ -18,6 +18,7 @@ from ucfam import (
     DomainError,
     Family,
     ParseError,
+    bitops,
     complement,
     cube,
     decode_set,
@@ -28,12 +29,14 @@ from ucfam import (
     is_simply_rooted,
     is_union_closed,
     parse_set_text,
+    random_union_closed,
     rooted_subfamily,
     roots,
     set_text,
     shadow,
     stats,
 )
+from ucfam.enumeration import SplitMix64
 
 
 # --- encodings ---------------------------------------------------------------
@@ -144,6 +147,48 @@ def test_predicates_match_oracles_sampled(fam):
     sets = members(fam)
     assert is_union_closed(fam) == oracle_union_closed(sets)
     assert is_simply_rooted(fam) == oracle_simply_rooted(sets)
+
+
+def naive_union_closed(fam: Family) -> bool:
+    cells = list(fam)
+    return all((fam.mask >> (s | t)) & 1 for s in cells for t in cells)
+
+
+def test_union_closed_matches_pairwise_definition_n4():
+    for mask in range(1 << 16):
+        fam = Family(4, mask)
+        assert is_union_closed(fam) == naive_union_closed(fam), mask
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
+def test_union_closed_matches_pairwise_definition_random(n):
+    # union closures, and the same closures with one cell toggled
+    verdicts = set()
+    for seed in range(4):
+        closed = random_union_closed(n, 3 + seed, seed)
+        cell = SplitMix64(seed + 100).next64() % (1 << n)
+        for fam in (closed, Family(n, closed.mask ^ (1 << cell))):
+            verdict = is_union_closed(fam)
+            assert verdict == naive_union_closed(fam)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_rooted_masks_match_rooted_mask_exhaustive(n):
+    for mask in range(1 << (1 << n)):
+        assert bitops.rooted_masks(n, mask) == [
+            bitops.rooted_mask(n, mask, b) for b in range(1, n + 1)
+        ]
+
+
+@settings(max_examples=150)
+@given(families(min_n=4, max_n=9))
+def test_rooted_masks_match_rooted_mask_sampled(fam):
+    n = fam.n
+    assert bitops.rooted_masks(n, fam.mask) == [
+        bitops.rooted_mask(n, fam.mask, b) for b in range(1, n + 1)
+    ]
 
 
 @given(families(max_n=5))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import members, rooted_families, simply_rooted_at, subsets
+from conftest import families, members, rooted_families, simply_rooted_at, subsets
 from ucfam import (
     DomainError,
     Family,
@@ -27,6 +27,8 @@ from ucfam import (
     y_family,
     z_family,
 )
+from ucfam import bitops
+from ucfam.stability import _z_mask
 from ucfam.verify import _FAMILY_CHECKS, CATALOG_IDS, build_evidence
 
 
@@ -212,6 +214,42 @@ def test_z_members_have_two_roots_exhaustive(n):
             assert r >= 2
             if trace.image(s) != s:
                 assert r >= 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_z_family_matches_cell_reference(n):
+    # the sides of every partition of the ground set, against the three images cell by cell
+    found = 0
+    for fam in simply_rooted_at(n)[:: 7 if n == 4 else 1]:
+        full = (1 << n) - 1
+        for s_el in range(1 << n):
+            side_s = Family(n, rooted_subfamily(fam, s_el).mask | (fam.mask & 1))
+            side_t = Family(n, rooted_subfamily(fam, full ^ s_el).mask | (fam.mask & 1))
+            traces = [full_down(f)[1] for f in (fam, side_s, side_t)]
+            want = 0
+            for s in bitops.iter_bits(side_s.mask & side_t.mask):
+                i0, i1, i2 = (tr.image(s) for tr in traces)
+                if i0 != i1 and i0 != i2 and i1 != i2:
+                    want |= 1 << s
+            assert z_family(fam, side_s, side_t).mask == want
+            found += want != 0
+    assert n < 2 or found
+
+
+@settings(max_examples=150)
+@given(families(max_n=5), families(max_n=5), families(max_n=5))
+def test_z_mask_matches_cell_reference_on_any_traces(f0, f1, f2):
+    # three unrelated families on one ground set, so any pair of images can agree
+    n = f0.n
+    f1, f2 = Family(n, f1.mask & bitops.universe(n)), Family(n, f2.mask & bitops.universe(n))
+    traces = [full_down(f)[1] for f in (f0, f1, f2)]
+    shared = f0.mask & f1.mask & f2.mask
+    want = 0
+    for s in bitops.iter_bits(shared):
+        i0, i1, i2 = (tr.image(s) for tr in traces)
+        if i0 != i1 and i0 != i2 and i1 != i2:
+            want |= 1 << s
+    assert _z_mask(shared, *traces) == want
 
 
 # --- the stability theorems and the bad-set rows, read from the catalog ------------

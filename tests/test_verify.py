@@ -1,11 +1,23 @@
 """Check catalog, suite runner, and the constant-derivation chain."""
+import dataclasses
 import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from ucfam import DomainError, Family, complement, verify
+from conftest import families, union_closed_at
+from ucfam import (
+    DomainError,
+    Family,
+    bitops,
+    complement,
+    full_down,
+    full_up,
+    is_union_closed,
+    verify,
+)
 from ucfam.enumeration import EnumerationPlan, _union_closed_masks
 from ucfam.verify import (
     CATALOG_IDS,
@@ -14,6 +26,8 @@ from ucfam.verify import (
     ConstantChain,
     _FAMILY_CHECKS,
     _toggle_cell,
+    _toggle_keeps_union_closed,
+    build_evidence,
     catalog,
     check_few_with_root,
     derive_constants,
@@ -205,6 +219,75 @@ def test_toggle_cell_is_spread_over_the_cube():
     )
     assert sorted(hits) == list(range(16))
     assert all(200 <= count <= 420 for count in hits.values()), hits
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_incremental_toggle_matches_full_test(n):
+    for closed in union_closed_at(n):
+        for cell in range(1 << n):
+            toggled = Family(n, closed.mask ^ (1 << cell))
+            assert _toggle_keeps_union_closed(n, closed.mask, cell) == is_union_closed(toggled)
+
+
+def cube_set_agrees(fam: Family) -> bool:
+    """lemma_cube_set on any family's rooted masks and complement up sweep,
+    spliced into a real evidence record, against the statement pair by pair;
+    returns the verdict."""
+    n, mask = fam.n, fam.mask
+    rooted = tuple(bitops.rooted_masks(n, mask))
+    up = full_up(complement(fam))[1]
+    want = all(
+        s & ~bitops.root_set(rooted, s) == a
+        for a, u in up.image_map().items()
+        for s in bitops.iter_bits(bitops.interval(a, u) & mask)
+    )
+    ev = dataclasses.replace(build_evidence(Family.empty(n)), fam=fam, rooted=rooted, up=up)
+    assert _FAMILY_CHECKS["lemma_cube_set"](ev)[0] == want
+    return want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cube_set_matches_pair_reference(n):
+    verdicts = {cube_set_agrees(Family(n, mask)) for mask in range(1 << (1 << n))}
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=150)
+@given(families(min_n=4, max_n=6))
+def test_cube_set_matches_pair_reference_sampled(fam):
+    cube_set_agrees(fam)
+
+
+# ---------------------------------------------------------------------------
+# the mask-algebra checks still fail on a member that drops twice
+
+DOUBLE_DROP = full_down(Family.from_sets(2, [[1, 2]]))[1]  # {1,2} -> {2} -> {}
+
+
+def _verdicts(ev, ids):
+    return {cid: _FAMILY_CHECKS[cid](ev)[0] for cid in ids}
+
+
+def test_spliced_double_drop_fails_the_fall_checks():
+    # {}, {1}, {1,2}: the good member {1,2} really falls once, to {2}
+    ev = build_evidence(Family.from_sets(2, [[], [1], [1, 2]]))
+    ids = ("lemma_rooted_basics", "lemma_root_fall", "lemma_good_fall", "lemma_forced_fall")
+    assert ev.analysis.good.mask == 1 << 0b11
+    assert _verdicts(ev, ids) == dict.fromkeys(ids, True)
+    spliced = dataclasses.replace(ev, down=DOUBLE_DROP)
+    assert _verdicts(spliced, ids) == dict.fromkeys(ids, False)
+
+
+def test_spliced_double_drop_fails_z_roots():
+    # in P(2) the fixed member {1,2} has two roots and three distinct sweep
+    # images; counted as moved it would need three roots
+    ev = build_evidence(Family.powerset(2))
+    ids = ("lemma_rooted_basics", "lemma_root_fall", "cor_Z_roots")
+    assert ev.z_mask == 1 << 0b11
+    assert _verdicts(ev, ids) == dict.fromkeys(ids, True)
+    spliced = dataclasses.replace(ev, down=DOUBLE_DROP)
+    assert _verdicts(spliced, ids) == dict.fromkeys(ids, False)
+    assert _FAMILY_CHECKS["cor_Z_roots"](spliced)[1:3] == (0b11, 2)
 
 
 def test_render_table_layout():
