@@ -218,22 +218,18 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.mode == "random" and args.samples <= 0:
         parser.error("--mode random needs --samples > 0")
-    contains_empty = None
-    if args.contains_empty is not None:
-        contains_empty = args.contains_empty == "yes"
     plan = EnumerationPlan(
-        n=args.n,
-        mode=args.mode,
-        sample_count=args.samples,
-        seed=args.seed,
-        size=args.size,
-        contains_empty=contains_empty,
+        n=args.n, mode=args.mode, sample_count=args.samples, seed=args.seed
     )
     if args.mode == "random":
         print(f"effective seed: {plan.seed}", file=sys.stderr)
     stream = enumerate_simply_rooted(plan) if args.rooted else enumerate_union_closed(plan)
     first = True
     for fam in stream:
+        if args.size is not None and len(fam) != args.size:
+            continue
+        if args.contains_empty is not None and (0 in fam) != (args.contains_empty == "yes"):
+            continue
         if not first:
             print()
         sys.stdout.write(family_to_text(fam))

@@ -1,14 +1,15 @@
 """Enumeration and sampling of union-closed and simply rooted families.
 
-Exhaustive mode walks every subset of the power set (so it is capped at
-n <= 4) and keeps the union-closed ones; the simply rooted stream is the
-complement of each.  Random mode draws a handful of uniform seed sets and
-closes them under unions.
+A plan is a pure index map (plan, i) -> family over population_size(plan)
+positions, and the streams walk it in index order.  Exhaustive mode indexes
+the table of every union-closed family (a scan of every subset of the power
+set, so it is capped at n <= 4); the simply rooted stream is the complement
+of each.
 
 Randomness is a fixed splitmix64 stream.  Sample i of a run is generated
-from substream(seed, i), never from generator state shared across samples,
-so any slice of the sample range can be produced independently: parallel
-and serial runs agree bit for bit.
+from substream(seed, i << 20), never from generator state shared across
+samples, so any slice of the sample range can be produced independently:
+parallel and serial runs agree bit for bit.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ __all__ = [
 EXHAUSTIVE_GROUND_LIMIT = 4
 RANDOM_GROUND_LIMIT = 16
 CANONICAL_GROUND_LIMIT = 8
-REJECTION_LIMIT = 1 << 20
 
 _M64 = (1 << 64) - 1
 
@@ -152,25 +152,18 @@ class EnumerationPlan:
     mode: Literal["exhaustive", "random"] = "exhaustive"
     sample_count: int = 0
     seed: int = 0
-    size: int | None = None  # keep only families with exactly this many members
-    contains_empty: bool | None = None  # keep only families with(out) the empty set
 
     def __post_init__(self) -> None:
         if self.mode not in ("exhaustive", "random"):
             raise DomainError(f"unknown mode {self.mode!r}")
+        if self.n < 0:
+            raise DomainError(f"ground size must be >= 0, got {self.n}")
         if self.mode == "exhaustive" and self.n > EXHAUSTIVE_GROUND_LIMIT:
             raise CapacityError(
                 f"exhaustive enumeration capped at n <= {EXHAUSTIVE_GROUND_LIMIT}"
             )
         if self.mode == "random" and self.n > RANDOM_GROUND_LIMIT:
             raise CapacityError(f"random sampling capped at n <= {RANDOM_GROUND_LIMIT}")
-
-    def admits(self, fam: Family) -> bool:
-        if self.size is not None and len(fam) != self.size:
-            return False
-        if self.contains_empty is not None and (0 in fam) != self.contains_empty:
-            return False
-        return True
 
 
 @lru_cache(maxsize=8)
@@ -182,21 +175,9 @@ def _union_closed_masks(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def enumerate_union_closed(plan: EnumerationPlan) -> Iterator[Family]:
-    """Stream union-closed families according to the plan."""
-    if plan.mode == "exhaustive":
-        for mask in _union_closed_masks(plan.n):
-            fam = Family(plan.n, mask)
-            if plan.admits(fam):
-                yield fam
-        return
-    for index in range(plan.sample_count):
-        yield indexed_sample(plan, index)
-
-
 def population_size(plan: EnumerationPlan) -> int:
-    """Number of index positions of an unconstrained plan: the table size when
-    exhaustive, the sample count when random."""
+    """Number of index positions: the table size when exhaustive, the sample
+    count when random."""
     if plan.mode == "exhaustive":
         return len(_union_closed_masks(plan.n))
     return plan.sample_count
@@ -207,45 +188,30 @@ def indexed_sample(plan: EnumerationPlan, index: int) -> Family:
 
     Index addressing is what makes sharded parallel runs reproducible: shard
     boundaries never shift the stream, because position i depends on nothing
-    but (seed, i), or on i alone for an exhaustive plan.  An exhaustive plan
-    must be unconstrained, since its admission filters would make stream
-    positions depend on earlier entries.
+    but (seed, i), or on i alone for an exhaustive plan.
     """
     if plan.mode == "exhaustive":
-        _require_unconstrained(plan)
         return Family(plan.n, _union_closed_masks(plan.n)[index])
-    for attempt in range(REJECTION_LIMIT):
-        fam = _random_sample(plan.n, substream(plan.seed, (index << 20) | attempt))
-        if plan.admits(fam):
-            return fam
-    raise CapacityError(f"no admissible family after {REJECTION_LIMIT} draws")
+    # index << 20 is where sample `index` has always been drawn from (the
+    # first draw of a former rejection loop), so every sample stays the same
+    return _random_sample(plan.n, substream(plan.seed, index << 20))
 
 
 def indexed_rooted_sample(plan: EnumerationPlan, index: int) -> Family:
-    """Family `index` of the plan's simply rooted stream.
-
-    Only unconstrained plans are index-addressable: admission filters would
-    make stream positions depend on earlier draws.
-    """
-    _require_unconstrained(plan)
+    """Family `index` of the plan's simply rooted stream."""
     return complement(indexed_sample(plan, index))
 
 
-def _require_unconstrained(plan: EnumerationPlan) -> None:
-    if plan.size is not None or plan.contains_empty is not None:
-        raise DomainError("indexed access needs an unconstrained plan")
+def enumerate_union_closed(plan: EnumerationPlan) -> Iterator[Family]:
+    """Stream the plan's union-closed families in index order."""
+    for index in range(population_size(plan)):
+        yield indexed_sample(plan, index)
 
 
 def enumerate_simply_rooted(plan: EnumerationPlan) -> Iterator[Family]:
-    """Stream simply rooted families: complements of the union-closed stream.
-
-    Plan constraints apply to the simply rooted family being yielded.
-    """
-    inner = EnumerationPlan(plan.n, plan.mode, plan.sample_count, plan.seed)
-    for fam in enumerate_union_closed(inner):
-        rooted = complement(fam)
-        if plan.admits(rooted):
-            yield rooted
+    """Stream simply rooted families: complements of the union-closed stream."""
+    for fam in enumerate_union_closed(plan):
+        yield complement(fam)
 
 
 def canonicalize(fam: Family) -> Family:

@@ -230,6 +230,22 @@ def test_verify_random_needs_samples(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--n", "-1"),
+        ("verify", "--n", "-1", "--mode", "random", "--samples", "3"),
+        ("gen", "--n", "-1"),
+    ],
+    ids=["verify-exhaustive", "verify-random", "gen"],
+)
+def test_negative_ground_size_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error:" in err
+
+
 def test_verify_exhaustive_capacity(capsys):
     code, _, err = run_cli(capsys, "verify", "--n", "5")
     assert code == EXIT_CAPACITY
@@ -265,6 +281,27 @@ GOLDEN_REPORTS = [
 @pytest.mark.parametrize("args,digest", GOLDEN_REPORTS, ids=["n4", "n6-random", "n6-random-par2"])
 def test_verify_report_bytes_golden(capsys, args, digest):
     code, out, _ = run_cli(capsys, "verify", *args, "--json")
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the family streams `gen` prints; pins the sampler and both stream orders
+GOLDEN_STREAMS = [
+    (("--n", "4", "--rooted"), "d30fc882af8826d8d6b1e22a3c852ab3dab3e42f099dee00e899c8bbf119c482"),
+    (
+        ("--n", "7", "--mode", "random", "--samples", "200", "--seed", "9"),
+        "dacd86cf1a77527baeaeb79790d3896b5a381a43096193feafd2f6a8caa80733",
+    ),
+    (
+        ("--n", "7", "--mode", "random", "--samples", "200", "--seed", "9", "--rooted"),
+        "a5a051af7422aca303ac005783664496a9c68de2cec70905b4de588b91695634",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_STREAMS, ids=["n4-rooted", "n7-random", "n7-random-rooted"])
+def test_gen_stream_bytes_golden(capsys, args, digest):
+    code, out, _ = run_cli(capsys, "gen", *args)
     assert code == EXIT_PASS
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -351,6 +388,46 @@ def test_gen_filters(capsys):
     fams = _parse_blocks(out)
     assert len(fams) == 3
     assert all(len(f) == 2 and 0 in f for f in fams)
+
+
+GEN_FILTERS = [
+    (("--contains-empty", "yes"), lambda f: 0 in f),
+    (("--contains-empty", "no"), lambda f: 0 not in f),
+    (("--size", "4"), lambda f: len(f) == 4),
+    (("--size", "4", "--contains-empty", "no"), lambda f: len(f) == 4 and 0 not in f),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "3"),
+        ("--n", "3", "--rooted"),
+        ("--n", "4", "--mode", "random", "--samples", "30", "--seed", "2"),
+        ("--n", "4", "--mode", "random", "--samples", "30", "--seed", "2", "--rooted"),
+    ],
+    ids=["exhaustive", "exhaustive-rooted", "random", "random-rooted"],
+)
+def test_gen_filters_the_printed_stream(capsys, argv):
+    # one rule in every mode: the filtered output is the unfiltered output's
+    # passing blocks, in order
+    _, out, _ = run_cli(capsys, "gen", *argv)
+    stream = _parse_blocks(out)
+    kept = []
+    for flags, keep in GEN_FILTERS:
+        code, filtered, _ = run_cli(capsys, "gen", *argv, *flags)
+        assert code == EXIT_PASS
+        assert _parse_blocks(filtered) == [f for f in stream if keep(f)]
+        kept.append(len(_parse_blocks(filtered)))
+    assert any(0 < k < len(stream) for k in kept)
+
+
+def test_gen_unreachable_filter_prints_nothing(capsys):
+    argv = ("gen", "--n", "3", "--mode", "random", "--samples", "1", "--size", "9")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_PASS
+    assert out == ""
+    assert "effective seed: 0" in err
 
 
 def test_gen_rooted_stream(capsys):

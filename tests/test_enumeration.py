@@ -75,11 +75,10 @@ def test_exhaustive_plan_capacity():
         EnumerationPlan(n=17, mode="random")
 
 
-def test_plan_filters():
-    plan = EnumerationPlan(n=2, size=2, contains_empty=True)
-    got = list(enumerate_union_closed(plan))
-    assert all(len(f) == 2 and 0 in f for f in got)
-    assert len(got) == 3  # {},{1} | {},{2} | {},{1,2}
+def test_plan_rejects_negative_ground_size():
+    for mode in ("exhaustive", "random"):
+        with pytest.raises(DomainError):
+            EnumerationPlan(n=-1, mode=mode, sample_count=3)
 
 
 # --- seeded randomness ------------------------------------------------------------
@@ -117,26 +116,6 @@ def test_indexed_sample_matches_stream_order():
             assert indexed_sample(plan, i) == stream[i]
             assert indexed_rooted_sample(plan, i) == rooted_stream[i]
             assert indexed_rooted_sample(plan, i) == complement(stream[i])
-
-
-def test_indexed_sample_rejects_constrained_plans():
-    plan = EnumerationPlan(n=3, mode="random", sample_count=5, seed=0, size=4)
-    with pytest.raises(DomainError):
-        indexed_rooted_sample(plan, 0)
-    exhaustive = EnumerationPlan(n=3, contains_empty=True)
-    with pytest.raises(DomainError):
-        indexed_sample(exhaustive, 0)
-    with pytest.raises(DomainError):
-        indexed_rooted_sample(exhaustive, 0)
-
-
-def test_random_plan_respects_filters():
-    plan = EnumerationPlan(
-        n=4, mode="random", sample_count=30, seed=2, contains_empty=True
-    )
-    got = list(enumerate_union_closed(plan))
-    assert len(got) == 30
-    assert all(0 in f for f in got)
 
 
 # --- canonical forms ---------------------------------------------------------------
