@@ -175,8 +175,10 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     )
     descriptors = catalog(plan)
     selected = None
-    if args.checks:
+    if args.checks is not None:
         wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not wanted:
+            parser.error("--checks names no check id")
         known = {d.id for d in descriptors}
         unknown = [c for c in wanted if c not in known]
         if unknown:

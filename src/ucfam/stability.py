@@ -7,8 +7,9 @@ every bound here: the more bad sets, the further ||F|| sits below the trivial
 segment bound ||I(m)|| + m.
 
 Partitions split the ground set into (S, T); writing F_S for the members
-rooted in S, the product |F_S||F_T| is large for some partition whenever no
-single element roots too many members.  Throughout, the two partition sides
+rooted in S, partition_search builds one in a single balancing pass that
+always certifies 4|F_S||F_T| >= m0^2 - q^2, so the product is large whenever
+no single element roots too many members.  Throughout, the two partition sides
 are adjusted to carry the empty set when F does: F1 = F_S + {{}}, F2 = F_T +
 {{}}, keeping F1 and F2 simply rooted with F1 union F2 = F, at the price of
 the empty set always being bad (it is fixed and has an empty shadow).
@@ -37,9 +38,6 @@ __all__ = [
     "y_family",
     "z_family",
 ]
-
-FALLBACK_GROUND_LIMIT = 20
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -93,13 +91,19 @@ def deficiency_tight_family(m: int, k: int) -> Family:
 
 
 def partition_search(fam: Family) -> Partition:
-    """Greedy balanced partition of the ground set by rooted-subfamily size.
+    """Balanced partition of the ground set in one pass over the elements.
 
-    Starting from S empty, repeatedly apply the single-element move that most
-    increases min(|F_S|, |F_T|) (ties: smallest element).  Any partition that
-    no single move improves satisfies 4|F_S||F_T| >= m0^2 - q^2, where m0
-    counts the nonempty members and q the largest one-element rooted count;
-    that bound is asserted, with an exhaustive search as a fallback.
+    Elements 1..n in order each join the side whose rooted count, |F_S| or
+    |F_T|, is currently smaller (ties go to S).  The result certifies
+    4|F_S||F_T| >= m0^2 - q^2, where m0 counts the nonempty members and q the
+    largest one-element rooted count |F_b|:
+
+    - adding b to the smaller side raises that count by at most |F_b| <= q
+      and leaves the other unchanged, so |F_S| and |F_T| never differ by
+      more than q;
+    - at the end every nonempty member has a root in S or in T, so
+      a + c >= m0 for a = |F_S| and c = |F_T|;
+    - hence 4ac = (a + c)^2 - (c - a)^2 >= m0^2 - q^2.
     """
     rooted = bitops.rooted_masks(fam.n, fam.mask)
     _require_simply_rooted(fam, rooted)
@@ -108,56 +112,14 @@ def partition_search(fam: Family) -> Partition:
 
 def _partition(fam: Family, rooted: Sequence[int]) -> Partition:
     """partition_search on a simply rooted family with its rooted masks."""
-    n = fam.n
-    full = (1 << n) - 1
-    m0 = (fam.mask & ~1).bit_count()
-    q = max((r.bit_count() for r in rooted), default=0)
-    target = m0 * m0 - q * q  # 4|F_S||F_T| must reach this
-
-    s_el = 0
-    cur_min = 0
-    while True:
-        best = None  # (new_min, new_s_el)
-        for b in range(n):
-            new_s_el = s_el ^ (1 << b)
-            ns = bitops.rooted_union(rooted, new_s_el).bit_count()
-            nt = bitops.rooted_union(rooted, full ^ new_s_el).bit_count()
-            new_min = min(ns, nt)
-            if new_min > cur_min and (best is None or new_min > best[0]):
-                best = (new_min, new_s_el)
-        if best is None:
-            break
-        cur_min, s_el = best
-
-    a = bitops.rooted_union(rooted, s_el).bit_count()
-    b_ = bitops.rooted_union(rooted, full ^ s_el).bit_count()
-    if 4 * a * b_ >= target:
-        return Partition(n, s_el, full ^ s_el)
-    return _partition_exhaustive(fam, rooted, target)
-
-
-def _partition_exhaustive(fam: Family, rooted: Sequence[int], target: int) -> Partition:
-    n = fam.n
-    live = [b for b in range(n) if rooted[b]]
-    if len(live) > FALLBACK_GROUND_LIMIT:
-        raise CapacityError(f"exhaustive partition fallback over {len(live)} elements")
-    best_prod = -1
-    best_sel = 0
-    for pick in range(1 << len(live)):
-        s_el = 0
-        for j, b in enumerate(live):
-            if (pick >> j) & 1:
-                s_el |= 1 << b
-        t_el = ((1 << n) - 1) ^ s_el
-        prod = (
-            bitops.rooted_union(rooted, s_el).bit_count()
-            * bitops.rooted_union(rooted, t_el).bit_count()
-        )
-        if prod > best_prod:
-            best_prod, best_sel = prod, s_el
-    if 4 * best_prod < target:  # impossible for simply rooted input
-        raise RuntimeError("no partition certifies the product bound")
-    return Partition(n, best_sel, ((1 << n) - 1) ^ best_sel)
+    s_el = side_s = side_t = 0
+    for b, r in enumerate(rooted):
+        if side_s.bit_count() <= side_t.bit_count():
+            s_el |= 1 << b
+            side_s |= r
+        else:
+            side_t |= r
+    return Partition(fam.n, s_el, ((1 << fam.n) - 1) ^ s_el)
 
 
 @dataclass(frozen=True)

@@ -283,7 +283,7 @@ def _chk_rooted_complement_duality(ev: Evidence) -> Outcome:
     evidence family is simply rooted), so the toggled complement, one cell
     away from it, is tested incrementally.
     """
-    lhs, rhs = is_simply_rooted(ev.fam), is_union_closed(ev.comp)
+    lhs, rhs = not bitops.rootless(ev.fam.mask, ev.rooted), is_union_closed(ev.comp)
     if lhs != rhs or not rhs:
         return False, int(lhs), int(rhs), None
     cell = _toggle_cell(ev.fam)
@@ -489,8 +489,8 @@ def _chk_few_with_root(ev: Evidence) -> Outcome:
     if not (is_simply_rooted(plus) and is_simply_rooted(minus)):
         return False, plus.mask, minus.mask, None
     dplus = largest_downset(plus)
-    mapped = bitops.rooted_mask(n, mask2, n) >> half
-    if mapped & ~dplus.mask or mapped.bit_count() != ev.q:
+    mapped = bitops.swap_elements(n, ev.rooted[ev.peak - 1], ev.peak, n) >> half
+    if mapped & ~dplus.mask:
         return False, mapped, dplus.mask, None
     rhs = colex_total_size(m_plus) + m_plus - len(dplus)
     if plus.total_size() > rhs:
@@ -940,8 +940,10 @@ def run_suite(
     sharded into fixed index blocks; global entries run once in the parent.
     Reports are identical for any worker count.  A report's wall_time is the
     time spent inside that check, summed over shards; building the evidence
-    is charged to no check.
+    is charged to no check.  DomainError when parallelism is below 1.
     """
+    if parallelism < 1:
+        raise DomainError(f"parallelism must be at least 1, got {parallelism}")
     family_ids = tuple(d.id for d in descriptors if d.id in _FAMILY_CHECKS)
     plans = {d.population for d in descriptors if d.id in _FAMILY_CHECKS}
     plans.discard(None)
@@ -958,7 +960,7 @@ def run_suite(
         ]
         if parallelism > 1 and len(shards) > 1:
             ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(parallelism) as pool:
+            with ctx.Pool(min(parallelism, len(shards))) as pool:
                 results = pool.map(_run_shard, shards, chunksize=1)
         else:
             results = [_run_shard(s) for s in shards]

@@ -224,6 +224,23 @@ def test_verify_unknown_check_is_usage_error(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("checks", [",", " , ,", ""])
+def test_verify_checks_naming_nothing_is_usage_error(capsys, checks):
+    # a run that selects no check tests nothing and must not report a pass
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "2", "--checks", checks])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_verify_parallel_below_one_is_usage_error(capsys, workers):
+    code, out, err = run_cli(capsys, "verify", "--n", "2", "--parallel", workers)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "parallelism" in err
+
+
 def test_verify_random_needs_samples(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "5", "--mode", "random"])

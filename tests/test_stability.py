@@ -1,6 +1,7 @@
 """Bad/good classification, deficiency, partitions, Y/Z, and the catalog's bound rows."""
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import families, members, rooted_families, simply_rooted_at, subse
 from ucfam import (
     DomainError,
     Family,
+    Partition,
     classify_sets,
     colex_total_size,
     decode_set,
@@ -167,19 +169,41 @@ def test_partition_p2_example():
     assert Fraction(a * b) >= Fraction(9, 4) * (1 - st.p**2)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+def assert_partition_certifies(fam: Family) -> None:
+    part = partition_search(fam)
+    assert part.s_elements & part.t_elements == 0
+    assert part.s_elements | part.t_elements == (1 << fam.n) - 1
+    m0 = len(fam) - (1 if 0 in fam else 0)
+    q = stats(fam).max_rooted_count
+    a = len(rooted_subfamily(fam, part.s_elements))
+    b = len(rooted_subfamily(fam, part.t_elements))
+    assert 4 * a * b >= m0 * m0 - q * q
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_partition_certificate_exhaustive(n):
     for fam in simply_rooted_at(n):
         if not len(fam):
             continue
-        part = partition_search(fam)
-        assert part.s_elements & part.t_elements == 0
-        assert part.s_elements | part.t_elements == (1 << n) - 1
-        m0 = len(fam) - (1 if 0 in fam else 0)
-        q = stats(fam).max_rooted_count
-        a = len(rooted_subfamily(fam, part.s_elements))
-        b = len(rooted_subfamily(fam, part.t_elements))
-        assert 4 * a * b >= m0 * m0 - q * q
+        assert_partition_certifies(fam)
+
+
+@settings(max_examples=200)
+@given(rooted_families(max_n=12))
+def test_partition_certificate_sampled(fam):
+    assert_partition_certifies(fam)
+
+
+def test_large_product_fails_on_an_empty_side():
+    # P(3) minus {}: m0 = 7 and q = 4, so S = {} (|F_S| = 0) misses 49 - 16
+    fam = Family(3, Family.powerset(3).mask & ~1)
+    ev = build_evidence(fam)
+    assert (ev.m0, ev.q) == (7, 4)
+    check = _FAMILY_CHECKS["lemma_large_product"]
+    assert check(ev)[0]
+    lopsided = classify_sets(fam, Partition(3, 0, 0b111))
+    spliced = dataclasses.replace(ev, analysis=lopsided)
+    assert check(spliced) == (False, 0, 33, None)
 
 
 # --- Y and Z families ----------------------------------------------------------------

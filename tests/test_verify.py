@@ -98,6 +98,33 @@ def test_serial_suite_calls_the_shard_module_attribute(monkeypatch):
     assert [r.instances_tested for r in reports] == [verify.SHARD_SIZE + 1] * 2
 
 
+def test_pool_has_no_more_workers_than_shards(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(item) for item in items]
+
+    class Context:
+        Pool = SerialPool
+
+    monkeypatch.setattr(verify.multiprocessing, "get_context", lambda method: Context())
+    plan = EnumerationPlan(n=4, mode="random", sample_count=verify.SHARD_SIZE + 1, seed=5)
+    ids = ["rooted_size_bound", "thm_stability_8"]
+    reports = run_suite([d for d in catalog(plan) if d.id in ids], parallelism=64)
+    assert sizes == [2]
+    assert [r.instances_tested for r in reports] == [verify.SHARD_SIZE + 1] * 2
+
+
 # ---------------------------------------------------------------------------
 # suite runner
 
