@@ -126,6 +126,51 @@ def rooted_masks(n: int, mask: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _off_axes(n: int) -> tuple[int, ...]:
+    """Cells without element i, at index i - 1 (the complements of the axes)."""
+    return tuple(universe(n) & ~axis(n, i) for i in range(1, n + 1))
+
+
+def _up_steps(off: tuple[int, ...], g: int, h: int, elements: range) -> tuple[int, int]:
+    """Apply the superset steps of reducible for each element of `elements`.
+
+    g gains every cell one element i above a cell of g (the superset
+    closure); h gains the same cells, which lie strictly above a cell of g
+    (the strict superset closure).  The steps commute, as in _subset_steps.
+    """
+    for i in elements:
+        up = (g & off[i - 1]) << (1 << (i - 1))
+        g |= up
+        h |= up
+    return g, h
+
+
+def reducible(n: int, mask: int) -> int:
+    """Nonempty cells of mask whose set is the union of the members strictly inside it.
+
+    B is such a union iff every b in B lies in a member strictly inside B,
+    that is iff B is in the strict superset closure of the members through b.
+    Sweeping elements other than b keeps a cell on its side of axis(b), so
+    that closure is the sweep of the whole mask over every element but b,
+    cut to axis(b).  The n sweeps are shared by halving the element range,
+    as in rooted_masks.  The members left over are the join-irreducible
+    ones; the empty set counts among them.
+    """
+    off = _off_axes(n)
+    out = mask & ~1
+    todo = [(mask, 0, 1, n + 1)] if n else []  # (g, h, lo, hi) as in rooted_masks
+    while todo:
+        g, h, lo, hi = todo.pop()
+        if hi - lo == 1:
+            out &= h | off[lo - 1]
+            continue
+        mid = (lo + hi) // 2
+        todo.append((*_up_steps(off, g, h, range(mid, hi)), lo, mid))
+        todo.append((*_up_steps(off, g, h, range(lo, mid)), mid, hi))
+    return out
+
+
 def rootless(mask: int, rooted: Iterable[int]) -> int:
     """Nonempty cells of mask that none of its rooted masks covers."""
     anyroot = 0

@@ -167,12 +167,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_PASS if ok else EXIT_CHECK_FAILURE
 
 
-def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _plan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> EnumerationPlan:
+    """The plan named by --n, --mode, --samples and --seed."""
     if args.mode == "random" and args.samples <= 0:
         parser.error("--mode random needs --samples > 0")
-    plan = EnumerationPlan(
+    return EnumerationPlan(
         n=args.n, mode=args.mode, sample_count=args.samples, seed=args.seed
     )
+
+
+def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    plan = _plan(args, parser)
     descriptors = catalog(plan)
     selected = None
     if args.checks is not None:
@@ -218,11 +223,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.mode == "random" and args.samples <= 0:
-        parser.error("--mode random needs --samples > 0")
-    plan = EnumerationPlan(
-        n=args.n, mode=args.mode, sample_count=args.samples, seed=args.seed
-    )
+    plan = _plan(args, parser)
     if args.mode == "random":
         print(f"effective seed: {plan.seed}", file=sys.stderr)
     stream = enumerate_simply_rooted(plan) if args.rooted else enumerate_union_closed(plan)

@@ -2,9 +2,9 @@
 
 A plan is a pure index map (plan, i) -> family over population_size(plan)
 positions, and the streams walk it in index order.  Exhaustive mode indexes
-the table of every union-closed family (a scan of every subset of the power
-set, so it is capped at n <= 4); the simply rooted stream is the complement
-of each.
+the table of every union-closed family, built from the table one point
+smaller by the top-element split and capped at n <= 4; the simply rooted
+stream is the complement of each.
 
 Randomness is a fixed splitmix64 stream.  Sample i of a run is generated
 from substream(seed, i << 20), never from generator state shared across
@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterator, Literal
 
 from . import bitops
-from .core import Family, complement, is_union_closed
+from .core import Family, complement
 from .errors import CapacityError, DomainError
 
 __all__ = [
@@ -158,6 +158,9 @@ class EnumerationPlan:
             raise DomainError(f"unknown mode {self.mode!r}")
         if self.n < 0:
             raise DomainError(f"ground size must be >= 0, got {self.n}")
+        if self.mode == "exhaustive" and (self.sample_count or self.seed):
+            # an exhaustive plan draws nothing, so these would only mislabel it
+            raise DomainError("sample count and seed apply to random mode only")
         if self.mode == "exhaustive" and self.n > EXHAUSTIVE_GROUND_LIMIT:
             raise CapacityError(
                 f"exhaustive enumeration capped at n <= {EXHAUSTIVE_GROUND_LIMIT}"
@@ -166,12 +169,44 @@ class EnumerationPlan:
             raise CapacityError(f"random sampling capped at n <= {RANDOM_GROUND_LIMIT}")
 
 
+def _join_stable(n: int, closed: int) -> int:
+    """S(closed) = {a : a | b in closed for every member b}, for a family on {1..n}.
+
+    The cells a with a | b in the family are the preimage of the family
+    under B |-> B | b, one element of b at a time.
+    """
+    out = bitops.universe(n)
+    for b in bitops.iter_bits(closed):
+        pre = closed
+        for i in bitops.iter_bits(b):
+            ax = bitops.axis(n, i + 1)
+            pre &= ax
+            pre |= pre >> (1 << i)
+        out &= pre
+    return out
+
+
 @lru_cache(maxsize=8)
 def _union_closed_masks(n: int) -> tuple[int, ...]:
+    """Every union-closed family on {1..n}, ascending, built by the top-element split.
+
+    F is union-closed iff F = A | {B + n : B in Bs} with A and Bs union-closed
+    on {1..n-1} and A inside S(Bs) (_join_stable).  F's mask is A's plus Bs's
+    shifted past the cells without n, so taking Bs, then A, each in ascending
+    order gives the table in ascending order.
+    """
+    if n == 0:
+        return (0, 1)
+    below = _union_closed_masks(n - 1)
+    shift = 1 << (n - 1)
+    inside: dict[int, list[int]] = {}  # S(Bs) -> the A inside it, ascending
     out = []
-    for mask in range(bitops.universe(n) + 1):
-        if is_union_closed(Family(n, mask)):
-            out.append(mask)
+    for high in below:
+        stable = _join_stable(n - 1, high)
+        if stable not in inside:
+            inside[stable] = [a for a in below if not a & ~stable]
+        top = high << shift
+        out.extend(top | a for a in inside[stable])
     return tuple(out)
 
 

@@ -297,15 +297,12 @@ def _toggle_keeps_union_closed(n: int, closed: int, c: int) -> bool:
 
     Adding c: every member joined with c must land in the family or on c.
     Removing c: c must not be the union of two members strictly inside it;
-    in a union-closed family that happens iff the members strictly inside c
-    cover every element of c.
+    in a union-closed family that happens iff c is the union of all the
+    members strictly inside it (bitops.reducible).
     """
     if not (closed >> c) & 1:
         return bitops.union_image(n, closed, c) & ~(closed | (1 << c)) == 0
-    inside = closed & bitops.interval(0, c) & ~(1 << c)
-    if not inside:
-        return True
-    return any(not inside & bitops.axis(n, b + 1) for b in bitops.iter_bits(c))
+    return not (bitops.reducible(n, closed) >> c) & 1
 
 
 def _toggle_cell(fam: Family) -> int:

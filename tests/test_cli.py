@@ -247,6 +247,27 @@ def test_verify_random_needs_samples(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["verify", "gen"])
+@pytest.mark.parametrize(
+    "flag", [("--samples", "7"), ("--seed", "5"), ("--seed", "-1")], ids=["samples", "seed", "negative-seed"]
+)
+def test_exhaustive_rejects_sampling_flags(capsys, command, flag):
+    # an exhaustive run draws no samples, so the flags shape nothing; verify
+    # used to write them into run_config all the same
+    code, out, err = run_cli(capsys, command, "--n", "2", "--mode", "exhaustive", *flag)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "random mode only" in err
+
+
+@pytest.mark.parametrize("command", ["verify --json", "gen"])
+def test_exhaustive_takes_default_sampling_flags(capsys, command):
+    plain = run_cli(capsys, *command.split(), "--n", "2")
+    spelled = run_cli(capsys, *command.split(), "--n", "2", "--samples", "0", "--seed", "0")
+    assert plain[0] == EXIT_PASS
+    assert spelled == plain
+
+
 @pytest.mark.parametrize(
     "argv",
     [

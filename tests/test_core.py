@@ -174,6 +174,50 @@ def test_union_closed_matches_pairwise_definition_random(n):
     assert verdicts == {True, False}
 
 
+def near_misses(n: int, seed: int) -> tuple[Family, Family]:
+    """A union closure with one reducible member s | t removed, and the same
+    closure with one cell from outside it added."""
+    closed = random_union_closed(n, 3 + seed % 4, seed)
+    joins = sorted({s | t for s in closed for t in closed if s | t not in (s, t)})
+    rng = SplitMix64(seed + 200)
+    removed = joins[rng.below(len(joins))]
+    # the largest cell outside is often the whole ground set, which keeps closure
+    outside = list(complement(closed))
+    added = outside[rng.below(len(outside))] if seed % 2 else outside[-1]
+    return Family(n, closed.mask ^ (1 << removed)), Family(n, closed.mask | (1 << added))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
+def test_union_closed_matches_pairwise_definition_near_misses(n):
+    # one cell away from closed: the removed join breaks closure, while an
+    # added cell breaks it unless every join with it lands in the family
+    added_verdicts = set()
+    for seed in range(8):
+        removed, added = near_misses(n, seed)
+        assert not is_union_closed(removed)
+        assert not naive_union_closed(removed)
+        verdict = is_union_closed(added)
+        assert verdict == naive_union_closed(added)
+        added_verdicts.add(verdict)
+    assert added_verdicts == {True, False}
+
+
+def oracle_reducible(sets: set[frozenset[int]]) -> set[frozenset[int]]:
+    """Nonempty members equal to the union of the members strictly inside them."""
+    return {
+        b for b in sets
+        if b and b == frozenset().union(*(a for a in sets if a < b))
+    }
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_reducible_matches_definition_exhaustive(n):
+    for mask in range(1 << (1 << n)):
+        fam = Family(n, mask)
+        got = Family(n, bitops.reducible(n, mask))
+        assert members(got) == oracle_reducible(members(fam)), mask
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_rooted_masks_match_rooted_mask_exhaustive(n):
     for mask in range(1 << (1 << n)):
@@ -269,11 +313,13 @@ def test_downset_predicate():
     assert not is_downset(Family.from_sets(2, [[1, 2]]))
 
 
-def test_union_closed_enumeration_is_the_filter(n=3):
-    # cross-check the cached enumeration stream against the raw filter
-    direct = [
-        mask
-        for mask in range(1 << (1 << n))
-        if oracle_union_closed(members(Family(n, mask)))
-    ]
-    assert [f.mask for f in union_closed_at(n)] == direct
+def test_union_closed_enumeration_is_the_filter():
+    # the table built by the top-element split against the raw pairwise
+    # filter over every family, in the same (ascending) order
+    for n in range(5):
+        direct = [
+            mask
+            for mask in range(1 << (1 << n))
+            if oracle_union_closed(members(Family(n, mask)))
+        ]
+        assert [f.mask for f in union_closed_at(n)] == direct

@@ -75,6 +75,13 @@ def test_exhaustive_plan_capacity():
         EnumerationPlan(n=17, mode="random")
 
 
+@pytest.mark.parametrize("fields", [{"sample_count": 7}, {"seed": 5}, {"seed": -1}])
+def test_exhaustive_plan_rejects_sampling_fields(fields):
+    with pytest.raises(DomainError):
+        EnumerationPlan(n=2, **fields)
+    assert EnumerationPlan(n=2, sample_count=0, seed=0) == EnumerationPlan(n=2)
+
+
 def test_plan_rejects_negative_ground_size():
     for mode in ("exhaustive", "random"):
         with pytest.raises(DomainError):

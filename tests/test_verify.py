@@ -13,6 +13,7 @@ from ucfam import (
     Family,
     bitops,
     complement,
+    enumeration,
     full_down,
     full_up,
     is_union_closed,
@@ -246,6 +247,20 @@ def test_toggle_cell_is_spread_over_the_cube():
     )
     assert sorted(hits) == list(range(16))
     assert all(200 <= count <= 420 for count in hits.values()), hits
+
+
+@pytest.mark.parametrize("n", [3, 10])
+def test_spliced_open_complement_fails_duality(n):
+    # a real evidence record whose complement has lost one join s | t of
+    # two of its members: the family is still simply rooted, so the row
+    # must see that the complement is no longer union-closed
+    closed = enumeration.random_union_closed(n, 4, seed=7)
+    ev = build_evidence(complement(closed))
+    check = _FAMILY_CHECKS["rooted_complement_duality"]
+    assert check(ev)[0]
+    s, t = next((s, t) for s in closed for t in closed if s | t not in (s, t))
+    spliced = dataclasses.replace(ev, comp=Family(n, closed.mask ^ (1 << (s | t))))
+    assert check(spliced) == (False, 1, 0, None)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
