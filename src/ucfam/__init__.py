@@ -3,165 +3,21 @@
 Families live as 2^n-bit characteristic vectors, inequalities are evaluated
 in exact integer or rational arithmetic, and every counting statement in the
 package ships with a runnable check (see ucfam.verify and the ucfam CLI).
+Each module's __all__ is its public API, and all of it is re-exported here.
 """
-from .colex import (
-    colex_superadditivity,
-    colex_superadditivity_slack,
-    colex_total_size,
-    czedli_threshold_agrees,
-    extremal_construction,
-    f_extremal,
-    initial_segment,
-    kk_downset_bound,
-    min_ground,
-    segment_bound,
-    segment_bound_is_tight,
-    segment_bound_sixths,
-    total_size_range,
-)
-from .compression import (
-    CompressionTrace,
-    ReimerDecomposition,
-    full_down,
-    full_up,
-    reimer_decomposition,
-    uc_image_witness,
-)
-from .core import (
-    Family,
-    FamilyStats,
-    complement,
-    cube,
-    decode_set,
-    encode_set,
-    family_from_text,
-    family_to_text,
-    is_downset,
-    is_simply_rooted,
-    is_union_closed,
-    parse_set_text,
-    roots,
-    rooted_subfamily,
-    set_text,
-    shadow,
-    stats,
-)
-from .enumeration import (
-    EnumerationPlan,
-    canonicalize,
-    enumerate_simply_rooted,
-    enumerate_union_closed,
-    extremal_search,
-    indexed_rooted_sample,
-    indexed_sample,
-    random_union_closed,
-)
-from .errors import CapacityError, DomainError, ParseError
-from .stability import (
-    BadSetAnalysis,
-    Partition,
-    classify_sets,
-    deficiency,
-    deficiency_tight_family,
-    full_shadow_mask,
-    largest_downset,
-    partition_search,
-    y_family,
-    z_family,
-)
-from .verify import (
-    CATALOG_IDS,
-    PROBE_IDS,
-    CheckDescriptor,
-    CheckReport,
-    ConstantChain,
-    catalog,
-    check_few_with_root,
-    derive_constants,
-    document_json,
-    excluded_fraction,
-    fixpoint_constants,
-    margin_from_root,
-    render_table,
-    run_suite,
-    suite_document,
-    threshold_coefficients,
-)
+from . import colex, compression, core, enumeration, errors, stability, verify
+from .colex import *
+from .compression import *
+from .core import *
+from .enumeration import *
+from .errors import *
+from .stability import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadSetAnalysis",
-    "CATALOG_IDS",
-    "CapacityError",
-    "CheckDescriptor",
-    "CheckReport",
-    "CompressionTrace",
-    "ConstantChain",
-    "DomainError",
-    "EnumerationPlan",
-    "Family",
-    "FamilyStats",
-    "PROBE_IDS",
-    "ParseError",
-    "Partition",
-    "ReimerDecomposition",
-    "canonicalize",
-    "catalog",
-    "check_few_with_root",
-    "classify_sets",
-    "colex_superadditivity",
-    "colex_superadditivity_slack",
-    "colex_total_size",
-    "complement",
-    "cube",
-    "czedli_threshold_agrees",
-    "decode_set",
-    "deficiency",
-    "deficiency_tight_family",
-    "derive_constants",
-    "document_json",
-    "encode_set",
-    "enumerate_simply_rooted",
-    "enumerate_union_closed",
-    "excluded_fraction",
-    "extremal_construction",
-    "extremal_search",
-    "f_extremal",
-    "family_from_text",
-    "family_to_text",
-    "fixpoint_constants",
-    "full_down",
-    "full_shadow_mask",
-    "full_up",
-    "indexed_rooted_sample",
-    "indexed_sample",
-    "initial_segment",
-    "is_downset",
-    "is_simply_rooted",
-    "is_union_closed",
-    "kk_downset_bound",
-    "largest_downset",
-    "margin_from_root",
-    "min_ground",
-    "parse_set_text",
-    "partition_search",
-    "random_union_closed",
-    "reimer_decomposition",
-    "render_table",
-    "roots",
-    "rooted_subfamily",
-    "run_suite",
-    "segment_bound",
-    "segment_bound_is_tight",
-    "segment_bound_sixths",
-    "set_text",
-    "shadow",
-    "stats",
-    "suite_document",
-    "threshold_coefficients",
-    "total_size_range",
-    "uc_image_witness",
-    "y_family",
-    "z_family",
+    name
+    for module in (colex, compression, core, enumeration, errors, stability, verify)
+    for name in module.__all__
 ]

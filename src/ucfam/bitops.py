@@ -9,14 +9,21 @@ matter how many sets the family holds.
 
 Cell index arithmetic: the cell of B - {i} sits exactly 2^(i-1) positions
 below the cell of B, so moving every set containing i down one direction is
-a shift of the whole vector by 2^(i-1) bits.
+a shift of the whole vector by 2^(i-1) bits.  Each per-element step splits
+the vector by the cached cells without i (_off_axes), never building ~axis.
+
+The rooted masks and the join-reducible members both need, for every
+element b, a sweep over every element but b; _without_each is the one
+driver that shares those sweeps.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 MAX_GROUND = 24
+
+State = TypeVar("State")
 
 
 @lru_cache(maxsize=None)
@@ -38,6 +45,12 @@ def axis(n: int, i: int) -> int:
     return pat
 
 
+@lru_cache(maxsize=None)
+def _off_axes(n: int) -> tuple[int, ...]:
+    """Cells without element i, at index i - 1 (the complements of the axes)."""
+    return tuple(universe(n) & ~axis(n, i) for i in range(1, n + 1))
+
+
 def iter_bits(x: int) -> Iterator[int]:
     """Positions of set bits, ascending."""
     while x:
@@ -49,26 +62,21 @@ def iter_bits(x: int) -> Iterator[int]:
 def down_fallers(n: int, mask: int, i: int) -> int:
     """Cells of mask that compressing direction i downward moves, at their pre-move
     position: each B with i moves to B - {i} unless that cell is occupied."""
-    ax = axis(n, i)
-    block = 1 << (i - 1)
-    hi = mask & ax
-    return hi & ~((mask & ~ax) << block)
+    lo = mask & _off_axes(n)[i - 1]
+    return (mask ^ lo) & ~(lo << (1 << (i - 1)))
 
 
 def up_fallers(n: int, mask: int, i: int) -> int:
     """Cells of mask that compressing direction i upward moves, at their pre-move
     position: each B without i moves to B + {i} unless that cell is occupied."""
-    ax = axis(n, i)
-    block = 1 << (i - 1)
-    lo = mask & ~ax
-    return lo & ~((mask & ax) >> block)
+    lo = mask & _off_axes(n)[i - 1]
+    return lo & ~((mask ^ lo) >> (1 << (i - 1)))
 
 
 def or_with_element(n: int, mask: int, i: int) -> int:
     """Image of the family under B |-> B + {i}."""
-    ax = axis(n, i)
-    block = 1 << (i - 1)
-    return (mask & ax) | ((mask & ~ax) << block)
+    lo = mask & _off_axes(n)[i - 1]
+    return (mask ^ lo) | (lo << (1 << (i - 1)))
 
 
 def union_image(n: int, mask: int, s: int) -> int:
@@ -82,11 +90,12 @@ def union_image(n: int, mask: int, s: int) -> int:
 def _subset_steps(n: int, g: int, elements: range) -> int:
     """Apply the subset-AND step of subset_and for each element of `elements`.
 
+    g keeps a cell with element i only if the cell without i is in g too.
     The steps commute, so any subset of them may be applied in any order.
     """
+    off = _off_axes(n)
     for i in elements:
-        ax = axis(n, i)
-        g &= ~ax | (g << (1 << (i - 1)))
+        g &= off[i - 1] | (g << (1 << (i - 1)))
     return g
 
 
@@ -104,41 +113,44 @@ def rooted_mask(n: int, mask: int, b: int) -> int:
     return _subset_steps(n, swept, range(b + 1, n + 1)) & axis(n, b)
 
 
-def rooted_masks(n: int, mask: int) -> list[int]:
-    """rooted_mask for every b = 1..n (index b-1 in the result).
+def _without_each(
+    n: int, state: State, steps: Callable[[int, State, range], State]
+) -> Iterator[tuple[int, State]]:
+    """Yield (b, state swept by `steps` over every element but b) for b = 1..n.
 
-    rooted_mask(b) sweeps every element but b.  Halving the element range
-    shares those sweeps: each half is recursed into after sweeping the other
-    half, so the n results cost n log n steps instead of n(n - 1).  The
-    halves wait on an explicit stack (a recursive nested function would be
-    a reference cycle per call).
+    `steps(n, state, elements)` must apply commuting per-element steps.
+    Halving the element range shares the sweeps: each half is entered after
+    sweeping the other half, so the n results cost n log n steps instead of
+    n(n - 1).  The halves wait on an explicit stack (a recursive nested
+    function would be a reference cycle per call).
     """
-    out = [0] * n
-    todo = [(mask, 1, n + 1)] if n else []  # (g, lo, hi): elements lo..hi-1 not yet swept
+    todo = [(state, 1, n + 1)] if n else []  # (state, lo, hi): elements lo..hi-1 not yet swept
     while todo:
-        g, lo, hi = todo.pop()
+        state, lo, hi = todo.pop()
         if hi - lo == 1:
-            out[lo - 1] = g & axis(n, lo)
+            yield lo, state
             continue
         mid = (lo + hi) // 2
-        todo.append((_subset_steps(n, g, range(mid, hi)), lo, mid))
-        todo.append((_subset_steps(n, g, range(lo, mid)), mid, hi))
-    return out
+        todo.append((steps(n, state, range(lo, mid)), mid, hi))
+        todo.append((steps(n, state, range(mid, hi)), lo, mid))
 
 
-@lru_cache(maxsize=None)
-def _off_axes(n: int) -> tuple[int, ...]:
-    """Cells without element i, at index i - 1 (the complements of the axes)."""
-    return tuple(universe(n) & ~axis(n, i) for i in range(1, n + 1))
+def rooted_masks(n: int, mask: int) -> list[int]:
+    """rooted_mask for every b = 1..n (index b-1 in the result), by one
+    _without_each sweep: sweeping every element but b leaves the cells
+    through b whose interval [{b}, B] lies in the family."""
+    return [g & axis(n, b) for b, g in _without_each(n, mask, _subset_steps)]
 
 
-def _up_steps(off: tuple[int, ...], g: int, h: int, elements: range) -> tuple[int, int]:
+def _up_steps(n: int, gh: tuple[int, int], elements: range) -> tuple[int, int]:
     """Apply the superset steps of reducible for each element of `elements`.
 
     g gains every cell one element i above a cell of g (the superset
     closure); h gains the same cells, which lie strictly above a cell of g
     (the strict superset closure).  The steps commute, as in _subset_steps.
     """
+    off = _off_axes(n)
+    g, h = gh
     for i in elements:
         up = (g & off[i - 1]) << (1 << (i - 1))
         g |= up
@@ -153,21 +165,13 @@ def reducible(n: int, mask: int) -> int:
     that is iff B is in the strict superset closure of the members through b.
     Sweeping elements other than b keeps a cell on its side of axis(b), so
     that closure is the sweep of the whole mask over every element but b,
-    cut to axis(b).  The n sweeps are shared by halving the element range,
-    as in rooted_masks.  The members left over are the join-irreducible
-    ones; the empty set counts among them.
+    cut to axis(b); _without_each shares the n sweeps.  The members left
+    over are the join-irreducible ones; the empty set counts among them.
     """
     off = _off_axes(n)
     out = mask & ~1
-    todo = [(mask, 0, 1, n + 1)] if n else []  # (g, h, lo, hi) as in rooted_masks
-    while todo:
-        g, h, lo, hi = todo.pop()
-        if hi - lo == 1:
-            out &= h | off[lo - 1]
-            continue
-        mid = (lo + hi) // 2
-        todo.append((*_up_steps(off, g, h, range(mid, hi)), lo, mid))
-        todo.append((*_up_steps(off, g, h, range(lo, mid)), mid, hi))
+    for b, (_, h) in _without_each(n, (mask, 0), _up_steps):
+        out &= h | off[b - 1]
     return out
 
 
@@ -217,10 +221,10 @@ def swap_elements(n: int, mask: int, a: int, b: int) -> int:
     """Relabel the family by transposing ground elements a and b."""
     if a == b:
         return mask
-    ax_a, ax_b = axis(n, a), axis(n, b)
+    off = _off_axes(n)
     shift = abs((1 << (b - 1)) - (1 << (a - 1)))
-    only_a = mask & ax_a & ~ax_b
-    only_b = mask & ax_b & ~ax_a
+    only_a = mask & axis(n, a) & off[b - 1]
+    only_b = mask & axis(n, b) & off[a - 1]
     rest = mask ^ only_a ^ only_b
     if b > a:
         return rest | (only_a << shift) | (only_b >> shift)

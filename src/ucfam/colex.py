@@ -38,6 +38,7 @@ __all__ = [
     "min_ground",
     "segment_bound",
     "segment_bound_is_tight",
+    "segment_bound_sixths",
     "total_size_range",
 ]
 

@@ -155,28 +155,14 @@ def is_union_closed(fam: Family) -> bool:
     (bitops.reducible).  That is exact for every family: each member is a
     union of irreducible members inside it, so A | B is reached from A by
     joining irreducible members one at a time, each step staying in F.
-
-    The image for s is the image for s minus its top element joined with
-    that element, so images are memoized by that low part and members
-    sharing it share the work.  The memo is filled by a loop: a recursive
-    nested function would be a reference cycle holding every image until
-    the cyclic collector runs.
+    The irreducible members are few (about 8 at n = 6 and 27 at n = 10 on
+    sampled families), so each image is built afresh from its |s| steps.
     """
     n, mask = fam.n, fam.mask
-    images = {0: mask}
-    for s in bitops.iter_bits(mask & ~bitops.reducible(n, mask)):
-        pending = []  # s and its low parts whose images are not known yet
-        low = s
-        while low not in images:
-            pending.append(low)
-            low ^= 1 << (low.bit_length() - 1)
-        img = images[low]
-        for t in reversed(pending):
-            img = bitops.or_with_element(n, img, t.bit_length())
-            images[t] = img
-        if img & ~mask:
-            return False
-    return True
+    return not any(
+        bitops.union_image(n, mask, s) & ~mask
+        for s in bitops.iter_bits(mask & ~bitops.reducible(n, mask))
+    )
 
 
 def is_simply_rooted(fam: Family) -> bool:

@@ -29,10 +29,10 @@ __all__ = [
     "enumerate_simply_rooted",
     "enumerate_union_closed",
     "extremal_search",
+    "indexed_rooted_sample",
+    "indexed_sample",
     "population_size",
     "random_union_closed",
-    "substream",
-    "union_closure",
 ]
 
 EXHAUSTIVE_GROUND_LIMIT = 4
@@ -158,6 +158,8 @@ class EnumerationPlan:
             raise DomainError(f"unknown mode {self.mode!r}")
         if self.n < 0:
             raise DomainError(f"ground size must be >= 0, got {self.n}")
+        if self.sample_count < 0:
+            raise DomainError(f"sample count must be >= 0, got {self.sample_count}")
         if self.mode == "exhaustive" and (self.sample_count or self.seed):
             # an exhaustive plan draws nothing, so these would only mislabel it
             raise DomainError("sample count and seed apply to random mode only")

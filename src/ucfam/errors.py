@@ -1,6 +1,8 @@
 """Exception types shared across the package."""
 from __future__ import annotations
 
+__all__ = ["CapacityError", "DomainError", "ParseError"]
+
 
 class DomainError(ValueError):
     """An argument violates a documented precondition."""

@@ -111,6 +111,11 @@ class ConstantChain:
     c2: Fraction | None = None
 
     def __post_init__(self) -> None:
+        # a float would leak into the exact threshold arithmetic
+        if not isinstance(self.split_factor, int) or not isinstance(self.stability_constant, int):
+            raise DomainError("split factor and stability constant must be ints")
+        if not isinstance(self.alpha, (int, Fraction)):
+            raise DomainError("alpha must be an int or a Fraction")
         if self.split_factor <= 0:
             raise DomainError("split factor must be positive")
         if self.stability_constant not in (8, 12):

@@ -56,6 +56,14 @@ def oracle_roots(sets: set[frozenset[int]], b: frozenset[int]) -> set[int]:
     }
 
 
+def oracle_reducible(sets: set[frozenset[int]]) -> set[frozenset[int]]:
+    """Nonempty members equal to the union of the members strictly inside them."""
+    return {
+        b for b in sets
+        if b and b == frozenset().union(*(a for a in sets if a < b))
+    }
+
+
 def oracle_total(sets: set[frozenset[int]]) -> int:
     return sum(len(b) for b in sets)
 

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from conftest import (
     families,
     members,
+    oracle_reducible,
     oracle_roots,
     oracle_simply_rooted,
     oracle_total,
     oracle_union_closed,
+    rooted_families,
     union_closed_at,
 )
 from ucfam import (
@@ -202,14 +204,6 @@ def test_union_closed_matches_pairwise_definition_near_misses(n):
     assert added_verdicts == {True, False}
 
 
-def oracle_reducible(sets: set[frozenset[int]]) -> set[frozenset[int]]:
-    """Nonempty members equal to the union of the members strictly inside them."""
-    return {
-        b for b in sets
-        if b and b == frozenset().union(*(a for a in sets if a < b))
-    }
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_reducible_matches_definition_exhaustive(n):
     for mask in range(1 << (1 << n)):
@@ -233,6 +227,49 @@ def test_rooted_masks_match_rooted_mask_sampled(fam):
     assert bitops.rooted_masks(n, fam.mask) == [
         bitops.rooted_mask(n, fam.mask, b) for b in range(1, n + 1)
     ]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_without_each_sweeps_every_element_but_one(n):
+    # a state that records which elements were swept: b, then all but b
+    def record(_n, swept, elements):
+        for i in elements:
+            assert not (swept >> (i - 1)) & 1, "element swept twice"
+            swept |= 1 << (i - 1)
+        return swept
+
+    full = (1 << n) - 1
+    assert list(bitops._without_each(n, 0, record)) == [
+        (b, full ^ (1 << (b - 1))) for b in range(1, n + 1)
+    ]
+
+
+def wide_families(n: int):
+    """Arbitrary families on n points and their complements, with sampled simply
+    rooted ones (many cells with several roots) and their union-closed complements."""
+    fams = st.one_of(families(min_n=n, max_n=n), rooted_families(min_n=n, max_n=n))
+    return st.one_of(fams, fams.map(complement))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rooted_masks_match_oracle_roots_sampled(n, data):
+    fam = data.draw(wide_families(n))
+    sets = members(fam)
+    rooted = bitops.rooted_masks(n, fam.mask)
+    for s in range(1 << n):
+        want = oracle_roots(sets, frozenset(decode_set(s)))
+        assert bitops.root_set(rooted, s) == encode_set(want), s
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_reducible_matches_definition_sampled(n, data):
+    fam = data.draw(wide_families(n))
+    got = Family(n, bitops.reducible(n, fam.mask))
+    assert members(got) == oracle_reducible(members(fam))
 
 
 @given(families(max_n=5))

@@ -88,6 +88,12 @@ def test_plan_rejects_negative_ground_size():
             EnumerationPlan(n=-1, mode=mode, sample_count=3)
 
 
+def test_random_plan_rejects_negative_sample_count():
+    with pytest.raises(DomainError):
+        EnumerationPlan(n=3, mode="random", sample_count=-5, seed=1)
+    assert EnumerationPlan(n=3, mode="random", sample_count=0, seed=1).sample_count == 0
+
+
 # --- seeded randomness ------------------------------------------------------------
 
 

@@ -404,3 +404,18 @@ def test_chain_validation():
         ConstantChain(alpha=Fraction(3, 4))
     with pytest.raises(DomainError):
         ConstantChain(alpha=Fraction(1, 3))
+
+
+@pytest.mark.parametrize(
+    "fields", [{"alpha": 0.6}, {"split_factor": 2.5}, {"stability_constant": 12.0}]
+)
+def test_chain_rejects_inexact_inputs(fields):
+    # a float would reach threshold_coefficients and derive_constants
+    with pytest.raises(DomainError):
+        ConstantChain(**fields)
+
+
+def test_chain_takes_fraction_alpha():
+    chain = derive_constants(ConstantChain(alpha=Fraction(3, 5)))
+    assert threshold_coefficients(chain) == (Fraction(9), Fraction(30), Fraction(1))
+    assert excluded_fraction(chain, chain.c1)
