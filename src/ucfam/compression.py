@@ -25,16 +25,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import bitops
-from .core import Family, _require_simply_rooted, complement, is_union_closed, set_text
+from .core import Family, set_text
 from .errors import DomainError
 
 __all__ = [
     "CompressionTrace",
-    "ReimerDecomposition",
     "full_down",
     "full_up",
-    "reimer_decomposition",
-    "uc_image_witness",
 ]
 
 
@@ -162,35 +159,6 @@ def full_up(fam: Family) -> tuple[Family, CompressionTrace]:
     return trace.result, trace
 
 
-@dataclass(frozen=True)
-class ReimerDecomposition:
-    """Cubes [A, up_image(A)] for the members of a union-closed family.
-
-    For union-closed input the cubes are pairwise disjoint, so they tile
-    |F| * average-cube-size cells of the power set; `disjoint` certifies it
-    and `covered` is the union of all cube cells.
-    """
-
-    family: Family
-    image: Family
-    uppers: dict[int, int] = field(repr=False)
-    covered: int = field(repr=False)
-    disjoint: bool = True
-
-    @property
-    def total_cube_cells(self) -> int:
-        return sum(1 << (u & ~s).bit_count() for s, u in self.uppers.items())
-
-
-def reimer_decomposition(fam: Family) -> ReimerDecomposition:
-    """Decompose a union-closed family into the cubes [A, u(A)] of its up sweep."""
-    if not is_union_closed(fam):
-        raise DomainError("family is not union-closed")
-    final, trace = full_up(fam)
-    covered, overlap = _cube_cover(trace)
-    return ReimerDecomposition(fam, final, trace.image_map(), covered, overlap is None)
-
-
 def _cube_cover(up: CompressionTrace) -> tuple[int, tuple[int, int] | None]:
     """Union of the cubes [A, u(A)] of an up sweep, and the first pair A -> u(A)
     whose cube meets an earlier group's cubes (None when they are pairwise disjoint).
@@ -239,25 +207,3 @@ def _witnessed(down: CompressionTrace, up: CompressionTrace, rooted: Sequence[in
                     exact[r] = bitops.rooted_exactly(rooted, r)
                 out |= hits & exact[r]
     return out
-
-
-def uc_image_witness(fam: Family, s: int) -> tuple[int, int]:
-    """For a moved member s of a simply rooted family, a pair (k, A) with the
-    complement's upward sweep carrying A onto s after k directions.
-
-    A is s stripped of its roots.  DomainError if s never moves (no witness
-    exists), or on precondition violations.
-    """
-    rooted = bitops.rooted_masks(fam.n, fam.mask)
-    _require_simply_rooted(fam, rooted)
-    if s not in fam:
-        raise DomainError(f"{set_text(s)} is not a member")
-    _, down_trace = full_down(fam)
-    moved = down_trace.moved_set(s)
-    if not moved:
-        raise DomainError(f"{set_text(s)} is fixed by the downward sweep")
-    _, up_trace = full_up(complement(fam))
-    if not (_witnessed(down_trace, up_trace, rooted) >> s) & 1:
-        # mathematically impossible; guard against implementation bugs
-        raise RuntimeError(f"no witness found for {set_text(s)}")
-    return (moved & -moved).bit_length(), s & ~bitops.root_set(rooted, s)

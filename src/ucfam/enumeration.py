@@ -108,13 +108,14 @@ def _root_repair(n: int, cells: list[int], rng: SplitMix64) -> int:
 
     While some nonempty member lacks a root, take the least such cell, pick
     one of its elements at random, and add the whole interval from that
-    singleton up to the member.  Added cells are rooted by construction, so
-    this stops after at most len(cells) patches.
+    singleton up to the member.  Added cells are rooted by construction and
+    adding cells removes no root, so each patch roots one original cell and
+    this stops after at most len(cells) patches; RuntimeError if it does not.
     """
     mask = 0
     for s in cells:
         mask |= 1 << s
-    while True:
+    for _ in range(len(cells) + 1):
         rootless = bitops.rootless(mask, bitops.rooted_masks(n, mask))
         if not rootless:
             return mask
@@ -122,6 +123,7 @@ def _root_repair(n: int, cells: list[int], rng: SplitMix64) -> int:
         elems = list(bitops.iter_bits(s))
         b = elems[rng.below(len(elems))]
         mask |= bitops.interval(1 << b, s)
+    raise RuntimeError(f"root repair left rootless members after {len(cells)} patches")
 
 
 def _random_sample(n: int, rng: SplitMix64) -> Family:

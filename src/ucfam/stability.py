@@ -35,7 +35,6 @@ __all__ = [
     "full_shadow_mask",
     "largest_downset",
     "partition_search",
-    "y_family",
     "z_family",
 ]
 
@@ -186,13 +185,6 @@ def _classify(
         good=Family(n, fam.mask & ~bad),
         y=Family(n, fs & fixed),
     )
-
-
-def y_family(fam: Family) -> Family:
-    """Members that are both full-shadow and fixed by the downward sweep."""
-    fs = full_shadow_mask(fam)
-    _, trace = full_down(fam)
-    return Family(fam.n, fs & trace.fixed_mask())
 
 
 def z_family(fam: Family, side_s: Family, side_t: Family) -> Family:

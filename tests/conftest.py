@@ -6,6 +6,7 @@ evidence rather than circularity.
 """
 from __future__ import annotations
 
+import copy
 import functools
 from itertools import chain, combinations
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from ucfam import (
     EnumerationPlan,
+    Evidence,
     Family,
     decode_set,
     enumerate_simply_rooted,
@@ -84,9 +86,16 @@ def simply_rooted_at(n: int) -> tuple[Family, ...]:
 
 @st.composite
 def families(draw, min_n: int = 0, max_n: int = 5) -> Family:
-    """Arbitrary family over a small ground set."""
+    """Arbitrary family over a small ground set.
+
+    The integer strategy favours small masks, so half the draws take the
+    complement: dense families then occur at every n, not only sparse ones.
+    """
     n = draw(st.integers(min_n, max_n))
-    mask = draw(st.integers(0, (1 << (1 << n)) - 1))
+    full = (1 << (1 << n)) - 1
+    mask = draw(st.integers(0, full))
+    if draw(st.booleans()):
+        mask ^= full
     return Family(n, mask)
 
 
@@ -98,3 +107,14 @@ def rooted_families(draw, min_n: int = 0, max_n: int = 6) -> Family:
     index = draw(st.integers(0, 2**20))
     plan = EnumerationPlan(n=n, mode="random", sample_count=1, seed=seed)
     return indexed_rooted_sample(plan, index)
+
+
+def splice(ev: Evidence, **fields) -> Evidence:
+    """A copy of an evidence record with the given fields replaced.
+
+    Fields already built on `ev` are kept as built; fields not yet built are
+    built on the copy, from its own fields, the first time they are read.
+    """
+    out = copy.copy(ev)
+    vars(out).update(fields)
+    return out

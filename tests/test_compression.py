@@ -16,11 +16,10 @@ from ucfam import (
     full_up,
     is_downset,
     is_simply_rooted,
-    reimer_decomposition,
     roots,
-    uc_image_witness,
 )
 from ucfam.compression import _cube_cover, _witnessed
+from ucfam.verify import _FAMILY_CHECKS, build_evidence
 
 
 # --- a pure-set oracle for one compression step -----------------------------------
@@ -229,12 +228,15 @@ def test_down_up_mirror_sampled(fam):
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_reimer_cubes_tile_exhaustive(n):
     for fam in union_closed_at(n):
-        dec = reimer_decomposition(fam)
-        assert dec.disjoint
+        ev = build_evidence(complement(fam))  # its up sweep is the one of fam
+        covered, overlap = _cube_cover(ev.up)
+        assert overlap is None
         # cubes are pairwise disjoint, so their cells add up
-        assert dec.covered.bit_count() == dec.total_cube_cells
+        uppers = ev.up.image_map()
+        assert covered.bit_count() == sum(1 << (u & ~a).bit_count() for a, u in uppers.items())
         # each member sits at the bottom of its own cube
-        assert fam.mask & ~dec.covered == 0
+        assert fam.mask & ~covered == 0
+        assert _FAMILY_CHECKS["lemma_reimer_cubes"](ev) == (True, 0, 0, None)
 
 
 def cube_cover_reference(uppers: dict[int, int]) -> tuple[int, bool]:
@@ -303,28 +305,28 @@ def test_witnessed_covers_every_moved_member(fam):
 
 
 def test_reimer_rejects_non_union_closed():
+    # the cubes are read off the evidence of the complement, which is not simply rooted
     with pytest.raises(DomainError):
-        reimer_decomposition(Family.from_sets(2, [[1], [2]]))
+        build_evidence(complement(Family.from_sets(2, [[1], [2]])))
 
 
 @settings(max_examples=150)
 @given(rooted_families(max_n=6))
 def test_uc_image_witness_on_moved_members(fam):
-    _, dtrace = full_down(fam)
-    _, utrace = full_up(complement(fam))
-    for s in fam:
-        if dtrace.image(s) == s:
-            with pytest.raises(DomainError):
-                uc_image_witness(fam, s)
-            continue
-        k, a = uc_image_witness(fam, s)
-        assert a == s & ~roots(fam, s)
-        assert utrace.prefix_image(a, k) == s
+    ev = build_evidence(fam)
+    assert _witnessed(ev.down, ev.up, ev.rooted) == ev.down.moved_mask()
+    for s, steps in ev.down.moves.items():
+        # A = s minus its roots; the up sweep carries it onto s by the first fall of s
+        assert ev.up.prefix_image(s & ~roots(fam, s), steps[0][0]) == s
+    assert _FAMILY_CHECKS["lemma_uc_image"](ev) == (True, 0, 0, None)
 
 
 def test_uc_image_witness_example():
     # {}, {1}, {1,2}: the pair {1,2} falls to {2}; its root is 1, A = {2}
-    fam = Family.from_sets(2, [[], [1], [1, 2]])
-    k, a = uc_image_witness(fam, encode_set([1, 2]))
+    ev = build_evidence(Family.from_sets(2, [[], [1], [1, 2]]))
+    s = encode_set([1, 2])
+    a = s & ~bitops.root_set(ev.rooted, s)
     assert decode_set(a) == (2,)
-    assert k >= 1
+    (k, _), = ev.down.moves[s]
+    assert ev.up.prefix_image(a, k) == s
+    assert (_witnessed(ev.down, ev.up, ev.rooted) >> s) & 1

@@ -13,6 +13,7 @@ from ucfam import (
     DomainError,
     EnumerationPlan,
     Family,
+    bitops,
     canonicalize,
     complement,
     decode_set,
@@ -129,6 +130,14 @@ def test_indexed_sample_matches_stream_order():
             assert indexed_sample(plan, i) == stream[i]
             assert indexed_rooted_sample(plan, i) == rooted_stream[i]
             assert indexed_rooted_sample(plan, i) == complement(stream[i])
+
+
+def test_root_repair_raises_instead_of_looping(monkeypatch):
+    # rooted masks that root nothing: no patch can ever finish the repair
+    monkeypatch.setattr(bitops, "rooted_masks", lambda n, mask: [0] * n)
+    plan = EnumerationPlan(n=4, mode="random", sample_count=1, seed=0)
+    with pytest.raises(RuntimeError, match="rootless"):
+        indexed_rooted_sample(plan, 2)
 
 
 # --- canonical forms ---------------------------------------------------------------

@@ -1,13 +1,12 @@
 """Bad/good classification, deficiency, partitions, Y/Z, and the catalog's bound rows."""
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import families, members, rooted_families, simply_rooted_at, subsets
+from conftest import families, members, rooted_families, simply_rooted_at, splice, subsets
 from ucfam import (
     DomainError,
     Family,
@@ -26,7 +25,6 @@ from ucfam import (
     rooted_subfamily,
     roots,
     stats,
-    y_family,
     z_family,
 )
 from ucfam import bitops
@@ -202,7 +200,7 @@ def test_large_product_fails_on_an_empty_side():
     check = _FAMILY_CHECKS["lemma_large_product"]
     assert check(ev)[0]
     lopsided = classify_sets(fam, Partition(3, 0, 0b111))
-    spliced = dataclasses.replace(ev, analysis=lopsided)
+    spliced = splice(ev, analysis=lopsided)
     assert check(spliced) == (False, 0, 33, None)
 
 
@@ -210,9 +208,12 @@ def test_large_product_fails_on_an_empty_side():
 
 
 def test_y_family_examples():
-    assert y_family(Family.powerset(2)) == Family.powerset(2)
-    assert y_family(Family.from_sets(2, [[1], [2], [1, 2]])).mask == 0
-    assert y_family(Family.from_sets(2, [[]])) == Family.from_sets(2, [[]])
+    def y(fam: Family) -> Family:
+        return build_evidence(fam).analysis.y
+
+    assert y(Family.powerset(2)) == Family.powerset(2)
+    assert y(Family.from_sets(2, [[1], [2], [1, 2]])).mask == 0
+    assert y(Family.from_sets(2, [[]])) == Family.from_sets(2, [[]])
 
 
 def test_z_family_examples():

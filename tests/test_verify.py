@@ -1,5 +1,4 @@
 """Check catalog, suite runner, and the constant-derivation chain."""
-import dataclasses
 import time
 from collections import Counter
 from fractions import Fraction
@@ -7,17 +6,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import families, union_closed_at
+from conftest import families, splice, union_closed_at
 from ucfam import (
+    CompressionTrace,
     DomainError,
     Family,
     bitops,
+    classify_sets,
     complement,
     enumeration,
     full_down,
     full_up,
     is_union_closed,
+    partition_search,
     verify,
+    z_family,
 )
 from ucfam.enumeration import EnumerationPlan, _union_closed_masks
 from ucfam.verify import (
@@ -25,12 +28,12 @@ from ucfam.verify import (
     PROBE_IDS,
     CheckDescriptor,
     ConstantChain,
+    Evidence,
     _FAMILY_CHECKS,
     _toggle_cell,
     _toggle_keeps_union_closed,
     build_evidence,
     catalog,
-    check_few_with_root,
     derive_constants,
     document_json,
     excluded_fraction,
@@ -81,6 +84,34 @@ def test_private_names_the_benchmark_reads():
     assert list(_FAMILY_CHECKS) == family_scope
     assert set(verify._GLOBAL_CHECKS) == {"lemma_colex_total", "lemma_deficiency"}
     assert verify._GLOBAL_CHECKS["lemma_deficiency"](EXHAUSTIVE_2).violations == []
+    # its call counter wraps bitops.rooted_mask, and its stage replay calls
+    # the stage functions and compares what they return with these fields
+    for fn in (bitops.rooted_mask, partition_search, classify_sets, z_family):
+        assert callable(fn)
+    assert isinstance(CompressionTrace.moves, property)
+    ev = build_evidence(Family.powerset(2))
+    for name in ("rooted", "analysis", "trace_s", "trace_t", "up", "z_mask"):
+        assert getattr(ev, name) is not None
+
+
+def test_probe_rows_build_no_sweep(monkeypatch):
+    # the two probes read m, ||F||, ||I(m)||, q and the degrees only
+    calls = Counter()
+    for name in ("full_down", "full_up"):
+
+        def counted(fam, _name=name, _fn=getattr(verify, name)):
+            calls[_name] += 1
+            return _fn(fam)
+
+        monkeypatch.setattr(verify, name, counted)
+    ids = ("probe_degree_bound", "probe_max_rooted_bound")
+    reports = run_suite([d for d in catalog(EXHAUSTIVE_4) if d.id in ids])
+    assert [r.instances_tested for r in reports] == [4960, 4960]
+    assert calls == Counter()
+    # a row that reads both sweeps builds each once per family
+    (report,) = run_suite([d for d in catalog(EXHAUSTIVE_2) if d.id == "eq1_duality"])
+    assert report.instances_tested > 0
+    assert calls == Counter(full_down=report.instances_tested, full_up=report.instances_tested)
 
 
 def test_serial_suite_calls_the_shard_module_attribute(monkeypatch):
@@ -259,7 +290,7 @@ def test_spliced_open_complement_fails_duality(n):
     check = _FAMILY_CHECKS["rooted_complement_duality"]
     assert check(ev)[0]
     s, t = next((s, t) for s in closed for t in closed if s | t not in (s, t))
-    spliced = dataclasses.replace(ev, comp=Family(n, closed.mask ^ (1 << (s | t))))
+    spliced = splice(ev, comp=Family(n, closed.mask ^ (1 << (s | t))))
     assert check(spliced) == (False, 1, 0, None)
 
 
@@ -272,9 +303,8 @@ def test_incremental_toggle_matches_full_test(n):
 
 
 def cube_set_agrees(fam: Family) -> bool:
-    """lemma_cube_set on any family's rooted masks and complement up sweep,
-    spliced into a real evidence record, against the statement pair by pair;
-    returns the verdict."""
+    """lemma_cube_set on the evidence record of any family, built from its
+    rooted masks, against the statement pair by pair; returns the verdict."""
     n, mask = fam.n, fam.mask
     rooted = tuple(bitops.rooted_masks(n, mask))
     up = full_up(complement(fam))[1]
@@ -283,8 +313,7 @@ def cube_set_agrees(fam: Family) -> bool:
         for a, u in up.image_map().items()
         for s in bitops.iter_bits(bitops.interval(a, u) & mask)
     )
-    ev = dataclasses.replace(build_evidence(Family.empty(n)), fam=fam, rooted=rooted, up=up)
-    assert _FAMILY_CHECKS["lemma_cube_set"](ev)[0] == want
+    assert _FAMILY_CHECKS["lemma_cube_set"](Evidence(fam, rooted))[0] == want
     return want
 
 
@@ -316,7 +345,7 @@ def test_spliced_double_drop_fails_the_fall_checks():
     ids = ("lemma_rooted_basics", "lemma_root_fall", "lemma_good_fall", "lemma_forced_fall")
     assert ev.analysis.good.mask == 1 << 0b11
     assert _verdicts(ev, ids) == dict.fromkeys(ids, True)
-    spliced = dataclasses.replace(ev, down=DOUBLE_DROP)
+    spliced = splice(ev, down=DOUBLE_DROP)
     assert _verdicts(spliced, ids) == dict.fromkeys(ids, False)
 
 
@@ -327,7 +356,7 @@ def test_spliced_double_drop_fails_z_roots():
     ids = ("lemma_rooted_basics", "lemma_root_fall", "cor_Z_roots")
     assert ev.z_mask == 1 << 0b11
     assert _verdicts(ev, ids) == dict.fromkeys(ids, True)
-    spliced = dataclasses.replace(ev, down=DOUBLE_DROP)
+    spliced = splice(ev, down=DOUBLE_DROP)
     assert _verdicts(spliced, ids) == dict.fromkeys(ids, False)
     assert _FAMILY_CHECKS["cor_Z_roots"](spliced)[1:3] == (0b11, 2)
 
@@ -344,14 +373,15 @@ def test_render_table_layout():
 
 
 # ---------------------------------------------------------------------------
-# the standalone accounting check
+# the top-element split row
 
 
 def test_check_few_with_root_examples():
-    assert check_few_with_root(Family(3, (1 << 8) - 2))  # P(3) minus the empty set
-    assert check_few_with_root(Family(0, 1))
+    check = _FAMILY_CHECKS["lemma_few_with_root"]
+    assert check(build_evidence(Family(3, (1 << 8) - 2)))[0]  # P(3) minus the empty set
+    assert check(build_evidence(Family(0, 1)))[0]
     with pytest.raises(DomainError):
-        check_few_with_root(Family(2, 0b1000))  # {{1,2}} is not simply rooted
+        build_evidence(Family(2, 0b1000))  # {{1,2}} is not simply rooted
 
 
 # ---------------------------------------------------------------------------
