@@ -2,12 +2,12 @@
 
 Machine output is JSON (fraction-valued fields rendered as reduced "p/q"
 strings); the verify table is cosmetic.  Exit codes: 0 pass, 1 check failure,
-2 usage or parse error, 3 capacity.
+2 usage or parse error, 3 capacity, 4 internal error (any other exception,
+printed with its traceback).
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -48,6 +48,7 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 # Largest m whose extremal construction / colex segment is listed inline;
 # bigger families go through --emit-family so JSON stays readable.
@@ -57,10 +58,6 @@ INLINE_FAMILY_LIMIT = 2048
 def _frac(x: Fraction | int) -> str:
     """Reduced fraction string, "7" or "7/2"; the exact-arithmetic JSON form."""
     return str(Fraction(x))
-
-
-def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def cmd_fm(args: argparse.Namespace) -> int:
@@ -86,7 +83,7 @@ def cmd_fm(args: argparse.Namespace) -> int:
         with open(args.emit_family, "w") as fh:
             fh.write(family_to_text(fam))
         doc["family_file"] = args.emit_family
-    _print_json(doc)
+    sys.stdout.write(document_json(doc))
     return EXIT_PASS
 
 
@@ -104,7 +101,7 @@ def cmd_colex(args: argparse.Namespace) -> int:
         if m > (1 << 16):
             raise CapacityError(f"listing capped at m <= {1 << 16}")
         doc["members"] = [set_text(s) for s in colex.initial_segment(m)]
-    _print_json(doc)
+    sys.stdout.write(document_json(doc))
     return EXIT_PASS
 
 
@@ -130,7 +127,7 @@ def _analyze_document(fam: Family) -> dict:
             moves[b] += g.bit_count()
     doc["deficiency"] = deficiency(fam)
     doc["compression"] = {
-        "directions": list(ev.down.directions),
+        "directions": list(range(1, fam.n + 1)),
         "moves_per_direction": moves,
         "result_members": len(ev.down.result),
         "result_is_downset": is_downset(ev.down.result),
@@ -162,7 +159,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             text = fh.read()
     fam = family_from_text(text)
     doc = _analyze_document(fam)
-    _print_json(doc)
+    sys.stdout.write(document_json(doc))
     ok = all(row["passed"] for row in doc.get("checks", []))
     return EXIT_PASS if ok else EXIT_CHECK_FAILURE
 
@@ -218,7 +215,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         with open(args.emit, "w") as fh:
             fh.write("\n".join(family_to_text(f) for f in classes))
         doc["family_file"] = args.emit
-    _print_json(doc)
+    sys.stdout.write(document_json(doc))
     return EXIT_PASS
 
 
@@ -308,18 +305,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "gen":
             return cmd_gen(args, parser)
         raise AssertionError(args.command)
-    except ParseError as exc:
+    except (CapacityError, DomainError, OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_USAGE
+    except Exception as exc:  # a fault of the program, not a check result
+        import traceback  # at the top it would add about 0.2 MB to every run's peak RSS
+
+        print(f"error: internal: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

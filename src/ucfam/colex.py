@@ -135,26 +135,16 @@ def colex_superadditivity(m1: int, m2: int) -> bool:
     return colex_superadditivity_slack(m1, m2) >= 0
 
 
-def _segment_bound_r(m: int) -> int:
-    r = (3 * m).bit_length() - 1
-    # 3m is divisible by 3, hence never a power of two: the range is strict
-    assert (1 << r) < 3 * m < (1 << (r + 1))
-    return r
-
-
 def segment_bound(m: int) -> Fraction:
     """Closed-form upper bound on colex_total_size(m), exact rational."""
-    if m < 1:
-        raise DomainError("bound needs m >= 1")
-    r = _segment_bound_r(m)
-    return Fraction(m * (r + 1) - (1 << r), 2)
+    return Fraction(segment_bound_sixths(m), 6)
 
 
 def segment_bound_sixths(m: int) -> int:
     """segment_bound(m) scaled by 6, as an integer (for exact comparisons)."""
     if m < 1:
         raise DomainError("bound needs m >= 1")
-    r = _segment_bound_r(m)
+    r = (3 * m).bit_length() - 1  # 3m is never a power of two: 2^r < 3m < 2^(r+1)
     return 3 * (m * (r + 1) - (1 << r))
 
 

@@ -51,10 +51,6 @@ class CompressionTrace:
     groups: dict[int, int] = field(repr=False)
 
     @property
-    def directions(self) -> tuple[int, ...]:
-        return tuple(range(1, self.n + 1))
-
-    @property
     def result(self) -> Family:
         return Family(self.n, self.prefix_masks[-1])
 

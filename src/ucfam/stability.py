@@ -19,7 +19,7 @@ The inequalities built on these counts are the checks of ucfam.verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import bitops
 from .compression import CompressionTrace, full_down
@@ -32,7 +32,6 @@ __all__ = [
     "classify_sets",
     "deficiency",
     "deficiency_tight_family",
-    "full_shadow_mask",
     "largest_downset",
     "partition_search",
     "z_family",
@@ -54,25 +53,20 @@ class Partition:
             raise DomainError("partition does not cover the ground set")
 
 
+def _fallers(fam: Family) -> Iterator[int]:
+    """The down-faller masks of the family for directions 1..n, one at a time:
+    the members B through i whose shadow set B - i is missing."""
+    return (bitops.down_fallers(fam.n, fam.mask, i) for i in range(1, fam.n + 1))
+
+
 def deficiency(fam: Family) -> int:
     """Sum over members of how many shadow sets are missing from the family."""
-    return sum(
-        bitops.down_fallers(fam.n, fam.mask, i).bit_count() for i in range(1, fam.n + 1)
-    )
+    return sum(f.bit_count() for f in _fallers(fam))
 
 
 def largest_downset(fam: Family) -> Family:
     """The members whose entire power set lies in the family (the largest down-set)."""
     return Family(fam.n, bitops.subset_and(fam.n, fam.mask))
-
-
-def full_shadow_mask(fam: Family) -> int:
-    """Cells of members with their whole shadow inside the family: those that
-    fall in no direction of a down step."""
-    fallers = 0
-    for i in range(1, fam.n + 1):
-        fallers |= bitops.down_fallers(fam.n, fam.mask, i)
-    return fam.mask & ~fallers
 
 
 def deficiency_tight_family(m: int, k: int) -> Family:
@@ -150,29 +144,39 @@ class BadSetAnalysis:
     def b3(self) -> int:
         return len(self.fixed)
 
+    @property
+    def side_product(self) -> int:
+        """|F_S||F_T|, counting the empty set on both sides when F has it."""
+        return len(self.side_s) * len(self.side_t)
+
 
 def classify_sets(fam: Family, partition: Partition | None = None) -> BadSetAnalysis:
     """Split a simply rooted family into bad and good members."""
     rooted = bitops.rooted_masks(fam.n, fam.mask)
     _require_simply_rooted(fam, rooted)
     _, down = full_down(fam)
-    return _classify(fam, rooted, down, partition)
+    return _classify(fam, rooted, down, _fallers(fam), partition)
 
 
 def _classify(
     fam: Family,
     rooted: Sequence[int],
     down: CompressionTrace,
+    fallers: Iterable[int],
     partition: Partition | None = None,
 ) -> BadSetAnalysis:
-    """classify_sets on a simply rooted family, its rooted masks and its down sweep."""
+    """classify_sets on a simply rooted family, its rooted masks, its down
+    sweep and its down-faller masks."""
     if partition is None:
         partition = _partition(fam, rooted)
     n = fam.n
     empty_bit = fam.mask & 1
     side_s = bitops.rooted_union(rooted, partition.s_elements) | empty_bit
     side_t = bitops.rooted_union(rooted, partition.t_elements) | empty_bit
-    fs = full_shadow_mask(fam)
+    fell = 0
+    for f in fallers:
+        fell |= f
+    fs = fam.mask & ~fell  # members whose whole shadow lies in F
     fixed = down.fixed_mask()
     bad = fs | fixed
     return BadSetAnalysis(

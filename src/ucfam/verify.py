@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isqrt
 from typing import Any, Callable, Iterable, Literal, Sequence
@@ -51,6 +51,7 @@ from .errors import DomainError
 from .stability import (
     BadSetAnalysis,
     _classify,
+    _fallers,
     _z_mask,
     deficiency,
     deficiency_tight_family,
@@ -246,8 +247,7 @@ class Evidence:
 
     @_lazy
     def degrees(self) -> tuple[int, ...]:
-        n, mask = self.fam.n, self.fam.mask
-        return tuple((mask & bitops.axis(n, i)).bit_count() for i in range(1, n + 1))
+        return self.fam.degrees()
 
     @_lazy
     def total(self) -> int:
@@ -273,6 +273,12 @@ class Evidence:
         return counts.index(self.q) + 1 if counts else 0
 
     @_lazy
+    def fallers(self) -> tuple[int, ...]:
+        """The n down-faller masks of F: index i-1 holds the members B through
+        i whose shadow set B - i is missing."""
+        return tuple(_fallers(self.fam))
+
+    @_lazy
     def down(self) -> CompressionTrace:
         return full_down(self.fam)[1]
 
@@ -283,7 +289,7 @@ class Evidence:
 
     @_lazy
     def analysis(self) -> BadSetAnalysis:
-        return _classify(self.fam, self.rooted, self.down)
+        return _classify(self.fam, self.rooted, self.down, self.fallers)
 
     @_lazy
     def trace_s(self) -> CompressionTrace:
@@ -346,13 +352,15 @@ def _toggle_keeps_union_closed(n: int, closed: int, c: int) -> bool:
     """Whether the union-closed family `closed` stays union-closed with cell c toggled.
 
     Adding c: every member joined with c must land in the family or on c.
-    Removing c: c must not be the union of two members strictly inside it;
-    in a union-closed family that happens iff c is the union of all the
-    members strictly inside it (bitops.reducible).
+    Removing c: c must not be the union of two members strictly inside it.
+    In a union-closed family that happens iff every element of c lies in
+    some member strictly inside c, since the union of those members is then
+    c, and the first of them whose join reaches c gives the pair.
     """
     if not (closed >> c) & 1:
         return bitops.union_image(n, closed, c) & ~(closed | (1 << c)) == 0
-    return not (bitops.reducible(n, closed) >> c) & 1
+    below = closed & bitops.interval(0, c) & ~(1 << c)
+    return c == 0 or any(not below & bitops.axis(n, b + 1) for b in bitops.iter_bits(c))
 
 
 def _toggle_cell(fam: Family) -> int:
@@ -361,11 +369,6 @@ def _toggle_cell(fam: Family) -> int:
     An int's hash is not salted, so every process picks the same cell.
     """
     return _mix64(hash(fam.mask)) % (1 << fam.n)
-
-
-def _chk_rooted_size_bound(ev: Evidence) -> Outcome:
-    rhs = ev.colex_m + ev.m
-    return ev.total <= rhs, ev.total, rhs, None
 
 
 def _chk_reimer_basics(ev: Evidence) -> Outcome:
@@ -403,38 +406,29 @@ def _chk_rooted_basics(ev: Evidence) -> Outcome:
     return True, 0, 0, None
 
 
-def _chk_no_falls(ev: Evidence) -> Outcome:
-    rhs = ev.colex_m + ev.m - ev.analysis.b3
-    return ev.total <= rhs, ev.total, rhs, None
-
-
-def _chk_full_shadow(ev: Evidence) -> Outcome:
-    rhs = ev.colex_m + ev.m - len(ev.analysis.full_shadow)
-    return ev.total <= rhs, ev.total, rhs, None
+def _deficiency_sides(fam: Family, fallers: Iterable[int]) -> tuple[int, int]:
+    """lemma_deficiency's sides on G, from its down-faller masks:
+    ||G|| and ||I(|G|)|| + def(G)."""
+    return fam.total_size(), colex_total_size(len(fam)) + sum(f.bit_count() for f in fallers)
 
 
 def _chk_deficiency(ev: Evidence) -> Outcome:
     """On the family and on its complement."""
-    rhs = ev.colex_m + deficiency(ev.fam)
-    if ev.total > rhs:
-        return False, ev.total, rhs, None
-    ct = ev.comp.total_size()
-    crhs = colex_total_size(len(ev.comp)) + deficiency(ev.comp)
-    return ct <= crhs, ct, crhs, None
+    for fam, fallers in ((ev.fam, ev.fallers), (ev.comp, _fallers(ev.comp))):
+        lhs, rhs = _deficiency_sides(fam, fallers)
+        if lhs > rhs:
+            return False, lhs, rhs, None
+    return True, lhs, rhs, None
 
 
 def _chk_forced_fall(ev: Evidence) -> Outcome:
-    n, mask = ev.fam.n, ev.fam.mask
-    misses = []  # misses[i-1]: members missing their shadow set B - i
-    seen = 0
-    for i in range(1, n + 1):
-        miss = bitops.down_fallers(n, mask, i)
+    seen = 0  # members missing a shadow set B - i, over the directions so far
+    for miss in ev.fallers:
         if miss & seen:
             return False, _lowest(miss & seen), 2, None
         seen |= miss
-        misses.append(miss)
     stay = ev.down.fixed_mask()
-    for i, miss in enumerate(misses):
+    for i, miss in enumerate(ev.fallers):
         off = miss & ~(stay | ev.down.groups.get(1 << i, 0))
         if off:
             s = _lowest(off)
@@ -466,7 +460,7 @@ def _chk_split_rooted(ev: Evidence) -> Outcome:
     d1 = ev.trace_s.prefix_masks[-1]
     d2 = ev.trace_t.prefix_masks[-1]
     lhs = (d1 & d2).bit_count()
-    rhs = ev.analysis.b + (ev.analysis.side_s.mask & ev.analysis.side_t.mask).bit_count()
+    rhs = ev.analysis.b + ev.analysis.b2
     return lhs <= rhs, lhs, rhs, None
 
 
@@ -478,17 +472,8 @@ def _chk_lower_b(ev: Evidence) -> Outcome:
     rhs = cells * (d1 & d2).bit_count()
     if lhs > rhs:
         return False, lhs, rhs, None
-    lhs = len(ev.analysis.side_s) * len(ev.analysis.side_t)
-    rhs = cells * (
-        ev.analysis.b + (ev.analysis.side_s.mask & ev.analysis.side_t.mask).bit_count()
-    )
-    return lhs <= rhs, lhs, rhs, None
-
-
-def _chk_many_bad(ev: Evidence) -> Outcome:
-    a = ev.analysis
-    lhs = len(a.side_s) * len(a.side_t)
-    rhs = (1 << ev.fam.n) * (a.b1 + 2 * a.b2 + a.b3)
+    lhs = ev.analysis.side_product
+    rhs = cells * (ev.analysis.b + ev.analysis.b2)
     return lhs <= rhs, lhs, rhs, None
 
 
@@ -511,11 +496,6 @@ def _chk_low_degrees(ev: Evidence) -> Outcome:
         if not 2 * ev.colex_m > rhs:
             return False, 2 * ev.colex_m, rhs, {"hypothesis_met": 1}
     return True, 0, 0, {"hypothesis_met": 1}
-
-
-def _chk_downset_bound(ev: Evidence) -> Outcome:
-    rhs = ev.colex_m + ev.m - len(largest_downset(ev.fam))
-    return ev.total <= rhs, ev.total, rhs, None
 
 
 def _chk_few_with_root(ev: Evidence) -> Outcome:
@@ -555,7 +535,30 @@ def _chk_few_with_root(ev: Evidence) -> Outcome:
     return True, 0, 0, extra or None
 
 
+def _size_check(term: Callable[[Evidence], int]) -> FamilyCheck:
+    """The row ||F|| <= ||I(m)|| + term(F)."""
+
+    def chk(ev: Evidence) -> Outcome:
+        rhs = ev.colex_m + term(ev)
+        return ev.total <= rhs, ev.total, rhs, None
+
+    return chk
+
+
+def _product_check(term: Callable[[BadSetAnalysis, Evidence], int]) -> FamilyCheck:
+    """The row |F_S||F_T| <= 2^n term(F), the term read from F's bad-set split."""
+
+    def chk(ev: Evidence) -> Outcome:
+        lhs = ev.analysis.side_product
+        rhs = (1 << ev.fam.n) * term(ev.analysis, ev)
+        return lhs <= rhs, lhs, rhs, None
+
+    return chk
+
+
 def _stability_check(c: int) -> FamilyCheck:
+    """The row m^2 - q^2 <= c 2^n (||I(m)|| + m - ||F||)."""
+
     def chk(ev: Evidence) -> Outcome:
         lhs = ev.m * ev.m - ev.q * ev.q
         rhs = c * (1 << ev.fam.n) * (ev.colex_m + ev.m - ev.total)
@@ -638,34 +641,10 @@ def _chk_split_rooted_2(ev: Evidence) -> Outcome:
     return lhs <= rhs, lhs, rhs, None
 
 
-def _chk_many_bad_2(ev: Evidence) -> Outcome:
-    a = ev.analysis
-    lhs = len(a.side_s) * len(a.side_t)
-    rhs = (1 << ev.fam.n) * (a.b1 + a.b2 + a.b3 + ev.z_mask.bit_count() - len(a.y))
-    return lhs <= rhs, lhs, rhs, None
-
-
 def _chk_y_ge_z(ev: Evidence) -> Outcome:
     lhs = ev.z_mask.bit_count()
     rhs = len(ev.analysis.y)
     return lhs <= rhs, lhs, rhs, None
-
-
-def _chk_refinement(ev: Evidence) -> Outcome:
-    a = ev.analysis
-    lhs = len(a.side_s) * len(a.side_t)
-    rhs = (1 << ev.fam.n) * (a.b1 + a.b2 + a.b3)
-    return lhs <= rhs, lhs, rhs, None
-
-
-def _chk_probe_degree(ev: Evidence) -> Outcome:
-    rhs = ev.colex_m + max(ev.degrees, default=0)
-    return ev.total <= rhs, ev.total, rhs, None
-
-
-def _chk_probe_max_rooted(ev: Evidence) -> Outcome:
-    rhs = ev.colex_m + ev.q
-    return ev.total <= rhs, ev.total, rhs, None
 
 
 def _chk_probe_eps_delta(ev: Evidence) -> Outcome:
@@ -724,9 +703,9 @@ def _global_deficiency(plan: EnumerationPlan | None) -> _Tally:
         for k in range(1, TIGHT_GRID_K + 1):
             fam = deficiency_tight_family(m, k)
             t.instances += 1
-            lhs = fam.total_size()
-            rhs = colex_total_size(m) + deficiency(fam)
-            if len(fam) != m or deficiency(fam) != k * m or lhs != rhs:
+            lhs, rhs = _deficiency_sides(fam, _fallers(fam))
+            # m members, deficiency exactly k m, and the bound met with equality
+            if len(fam) != m or rhs != colex_total_size(m) + k * m or lhs != rhs:
                 t.violations.append((m * 100 + k, f"glued m={m} k={k}", lhs, rhs))
     # pairs with deficiency 3 stay one unit under the generic bound
     cells = 1 << PAIR_REMARK_GROUND
@@ -746,8 +725,7 @@ def _global_deficiency(plan: EnumerationPlan | None) -> _Tally:
         for mask in range(1 << (1 << n)):
             fam = Family(n, mask)
             t.instances += 1
-            lhs = fam.total_size()
-            rhs = colex_total_size(len(fam)) + deficiency(fam)
+            lhs, rhs = _deficiency_sides(fam, _fallers(fam))
             if lhs > rhs:
                 t.violations.append((mask, family_to_text(fam), lhs, rhs))
     return t
@@ -758,153 +736,143 @@ def _global_deficiency(plan: EnumerationPlan | None) -> _Tally:
 
 
 @dataclass(frozen=True)
-class _Entry:
-    """One row of the catalog table.
+class CheckDescriptor:
+    """One catalog row: what is claimed, over which population, and how.
 
-    `family` runs on every family of the suite's population, `sweep` once per
-    suite; an entry with both reports their merged tally.
+    `family` runs on every family of the population, `sweep` once per suite;
+    a row with both reports their merged tally.  The rows of the table carry
+    no population; catalog(plan) gives the plan to the family-scope ones.
     """
 
     id: str
     applicability: str  # "simply-rooted" | "any-family" | "numeric"
-    statement: str
+    statement_ref: str
     family: FamilyCheck | None = None
     sweep: Callable[[EnumerationPlan | None], _Tally] | None = None
-    probe: bool = False
+    conjecture: bool = False
+    population: EnumerationPlan | None = None
 
 
-_TABLE: tuple[_Entry, ...] = (
-    _Entry("eq1_duality", "any-family",
-           "complementing the family swaps down- and up-compression, prefix by prefix",
-           _chk_eq1_duality),
-    _Entry("rooted_complement_duality", "any-family",
-           "a family is simply rooted iff its complement in P(n) is union-closed",
-           _chk_rooted_complement_duality),
-    _Entry("rooted_size_bound", "simply-rooted", "||F|| <= ||I(m)|| + m", _chk_rooted_size_bound),
-    _Entry("lemma_colex_total", "numeric",
-           "6||I(m)|| <= 3(m(r+1) - 2^r) for 2^r < 3m < 2^(r+1), equality on the tight set; "
-           "and 2||I(m)|| > mr iff 3m > 2^(r+2)",
-           sweep=_global_colex_total),
-    _Entry("lemma_reimer_basics", "simply-rooted",
-           "the full down sweep is a downset and every sweep prefix is simply rooted",
-           _chk_reimer_basics),
-    _Entry("lemma_rooted_basics", "simply-rooted",
-           "a fallen prefix image carries its whole power set inside the prefix; "
-           "falls shed at most one element",
-           _chk_rooted_basics),
-    _Entry("lemma_no_falls", "simply-rooted",
-           "||F|| <= ||I(m)|| + m - #(members fixed by the down sweep)",
-           _chk_no_falls),
-    _Entry("lemma_full_shadow", "simply-rooted",
-           "||F|| <= ||I(m)|| + m - #(members whose whole shadow lies in F)",
-           _chk_full_shadow),
-    _Entry("lemma_deficiency", "any-family",
-           "||G|| <= ||I(|G|)|| + def(G) for every family; glued colex segments are tight "
-           "and deficiency-3 pairs stay at total 3",
-           _chk_deficiency, _global_deficiency),
-    _Entry("lemma_forced_fall", "simply-rooted",
-           "no member misses two shadow sets; a member missing B-b falls to B-b or stays",
-           _chk_forced_fall),
-    _Entry("lemma_smaller_falls", "simply-rooted",
-           "members fixed by a rooted subfamily's sweep are fixed by the full sweep",
-           _chk_smaller_falls),
-    _Entry("lemma_good_fall", "simply-rooted",
-           "good members fall identically under the full sweep and a rooted side sweep",
-           _chk_good_fall),
-    _Entry("lemma_split_rooted", "simply-rooted",
-           "|d(F1) ^ d(F2)| <= #bad(F) + |F1 ^ F2| for the rooted sides F1, F2",
-           _chk_split_rooted),
-    _Entry("cor_lower_b", "simply-rooted",
-           "|F1||F2| <= 2^n (#bad(F) + |F1 ^ F2|), via Harris on the swept downsets",
-           _chk_lower_b),
-    _Entry("lemma_many_bad", "simply-rooted", "|F_S||F_T| <= 2^n (b1 + 2 b2 + b3)",
-           _chk_many_bad),
-    _Entry("lemma_large_product", "simply-rooted",
-           "the balanced-partition search certifies 4|F_S||F_T| >= m0^2 - q^2",
-           _chk_large_product),
-    _Entry("lemma_low_degrees", "simply-rooted",
-           "if the complement is a union-closed counterexample with all degrees over m/2, "
-           "then 2||I(m)|| > m(n-2) + 2 deg(i) - m for every i",
-           _chk_low_degrees),
-    _Entry("thm_downset", "simply-rooted",
-           "||F|| <= ||I(m)|| + m - |largest downset inside F|",
-           _chk_downset_bound),
-    _Entry("lemma_few_with_root", "simply-rooted",
-           "splitting off the peak element: size accounting is exact, both halves stay "
-           "simply rooted, the top-rooted members map into the upper half's largest "
-           "downset, and the balanced case gives 3||F|| <= 3(||I(m)|| + m) - q",
-           _chk_few_with_root),
-    _Entry("thm_stability_12", "simply-rooted",
-           "m^2 - q^2 <= 12 * 2^n * (||I(m)|| + m - ||F||)",
-           _stability_check(12)),
-    _Entry("lemma_reimer_cubes", "simply-rooted",
-           "the cubes [A, u(A)] of the complement's up sweep are pairwise disjoint and "
-           "cover the complement",
-           _chk_reimer_cubes),
-    _Entry("lemma_uc_image", "simply-rooted",
-           "every member that falls is hit by an up-sweep prefix of itself minus its roots",
-           _chk_uc_image),
-    _Entry("lemma_cube_set", "simply-rooted",
-           "a member B inside a sweep cube [A, u(A)] satisfies B minus its roots = A",
-           _chk_cube_set),
-    _Entry("lemma_root_fall", "simply-rooted", "members only ever fall by shedding a root",
-           _chk_root_fall),
-    _Entry("cor_Z_roots", "simply-rooted",
-           "members with three pairwise distinct sweep images have >= 2 roots, >= 3 if moved",
-           _chk_z_roots),
-    _Entry("lemma_split_rooted_2", "simply-rooted",
-           "when every shared member is full-shadowed, |d(F1) ^ d(F2)| <= #bad(F) + |Z|",
-           _chk_split_rooted_2),
-    _Entry("lemma_many_bad_2", "simply-rooted", "|F_S||F_T| <= 2^n (b1 + b2 + b3 + |Z| - |Y|)",
-           _chk_many_bad_2),
-    _Entry("lemma_Y_ge_Z", "simply-rooted", "|Z| <= |Y|", _chk_y_ge_z),
-    _Entry("lemma_refinement", "simply-rooted", "|F_S||F_T| <= 2^n (b1 + b2 + b3)",
-           _chk_refinement),
-    _Entry("thm_stability_8", "simply-rooted",
-           "m^2 - q^2 <= 8 * 2^n * (||I(m)|| + m - ||F||)",
-           _stability_check(8)),
-    _Entry("probe_degree_bound", "simply-rooted",
-           "conjectured: ||F|| <= ||I(m)|| + max degree",
-           _chk_probe_degree, probe=True),
-    _Entry("probe_max_rooted_bound", "simply-rooted", "conjectured: ||F|| <= ||I(m)|| + q",
-           _chk_probe_max_rooted, probe=True),
-    _Entry("probe_eps_delta_bound", "simply-rooted",
-           "conjectured n-free stability at eps = delta = 1/10: "
-           "10 q <= m implies 10||F|| <= 10||I(m)|| + 9m",
-           _chk_probe_eps_delta, probe=True),
+_TABLE: tuple[CheckDescriptor, ...] = (
+    CheckDescriptor("eq1_duality", "any-family",
+                    "complementing the family swaps down- and up-compression, prefix by prefix",
+                    _chk_eq1_duality),
+    CheckDescriptor("rooted_complement_duality", "any-family",
+                    "a family is simply rooted iff its complement in P(n) is union-closed",
+                    _chk_rooted_complement_duality),
+    CheckDescriptor("rooted_size_bound", "simply-rooted", "||F|| <= ||I(m)|| + m",
+                    _size_check(lambda ev: ev.m)),
+    CheckDescriptor("lemma_colex_total", "numeric",
+                    "6||I(m)|| <= 3(m(r+1) - 2^r) for 2^r < 3m < 2^(r+1), equality on the tight "
+                    "set; and 2||I(m)|| > mr iff 3m > 2^(r+2)",
+                    sweep=_global_colex_total),
+    CheckDescriptor("lemma_reimer_basics", "simply-rooted",
+                    "the full down sweep is a downset and every sweep prefix is simply rooted",
+                    _chk_reimer_basics),
+    CheckDescriptor("lemma_rooted_basics", "simply-rooted",
+                    "a fallen prefix image carries its whole power set inside the prefix; "
+                    "falls shed at most one element",
+                    _chk_rooted_basics),
+    CheckDescriptor("lemma_no_falls", "simply-rooted",
+                    "||F|| <= ||I(m)|| + m - #(members fixed by the down sweep)",
+                    _size_check(lambda ev: ev.m - ev.analysis.b3)),
+    CheckDescriptor("lemma_full_shadow", "simply-rooted",
+                    "||F|| <= ||I(m)|| + m - #(members whose whole shadow lies in F)",
+                    _size_check(lambda ev: ev.m - len(ev.analysis.full_shadow))),
+    CheckDescriptor("lemma_deficiency", "any-family",
+                    "||G|| <= ||I(|G|)|| + def(G) for every family; glued colex segments are "
+                    "tight and deficiency-3 pairs stay at total 3",
+                    _chk_deficiency, _global_deficiency),
+    CheckDescriptor("lemma_forced_fall", "simply-rooted",
+                    "no member misses two shadow sets; a member missing B-b falls to B-b or stays",
+                    _chk_forced_fall),
+    CheckDescriptor("lemma_smaller_falls", "simply-rooted",
+                    "members fixed by a rooted subfamily's sweep are fixed by the full sweep",
+                    _chk_smaller_falls),
+    CheckDescriptor("lemma_good_fall", "simply-rooted",
+                    "good members fall identically under the full sweep and a rooted side sweep",
+                    _chk_good_fall),
+    CheckDescriptor("lemma_split_rooted", "simply-rooted",
+                    "|d(F1) ^ d(F2)| <= #bad(F) + |F1 ^ F2| for the rooted sides F1, F2",
+                    _chk_split_rooted),
+    CheckDescriptor("cor_lower_b", "simply-rooted",
+                    "|F1||F2| <= 2^n (#bad(F) + |F1 ^ F2|), via Harris on the swept downsets",
+                    _chk_lower_b),
+    CheckDescriptor("lemma_many_bad", "simply-rooted", "|F_S||F_T| <= 2^n (b1 + 2 b2 + b3)",
+                    _product_check(lambda a, ev: a.b1 + 2 * a.b2 + a.b3)),
+    CheckDescriptor("lemma_large_product", "simply-rooted",
+                    "the balanced-partition search certifies 4|F_S||F_T| >= m0^2 - q^2",
+                    _chk_large_product),
+    CheckDescriptor("lemma_low_degrees", "simply-rooted",
+                    "if the complement is a union-closed counterexample with all degrees over "
+                    "m/2, then 2||I(m)|| > m(n-2) + 2 deg(i) - m for every i",
+                    _chk_low_degrees),
+    CheckDescriptor("thm_downset", "simply-rooted",
+                    "||F|| <= ||I(m)|| + m - |largest downset inside F|",
+                    _size_check(lambda ev: ev.m - len(largest_downset(ev.fam)))),
+    CheckDescriptor("lemma_few_with_root", "simply-rooted",
+                    "splitting off the peak element: size accounting is exact, both halves stay "
+                    "simply rooted, the top-rooted members map into the upper half's largest "
+                    "downset, and the balanced case gives 3||F|| <= 3(||I(m)|| + m) - q",
+                    _chk_few_with_root),
+    CheckDescriptor("thm_stability_12", "simply-rooted",
+                    "m^2 - q^2 <= 12 * 2^n * (||I(m)|| + m - ||F||)",
+                    _stability_check(12)),
+    CheckDescriptor("lemma_reimer_cubes", "simply-rooted",
+                    "the cubes [A, u(A)] of the complement's up sweep are pairwise disjoint and "
+                    "cover the complement",
+                    _chk_reimer_cubes),
+    CheckDescriptor("lemma_uc_image", "simply-rooted",
+                    "every member that falls is hit by an up-sweep prefix of itself minus its "
+                    "roots",
+                    _chk_uc_image),
+    CheckDescriptor("lemma_cube_set", "simply-rooted",
+                    "a member B inside a sweep cube [A, u(A)] satisfies B minus its roots = A",
+                    _chk_cube_set),
+    CheckDescriptor("lemma_root_fall", "simply-rooted",
+                    "members only ever fall by shedding a root",
+                    _chk_root_fall),
+    CheckDescriptor("cor_Z_roots", "simply-rooted",
+                    "members with three pairwise distinct sweep images have >= 2 roots, >= 3 if "
+                    "moved",
+                    _chk_z_roots),
+    CheckDescriptor("lemma_split_rooted_2", "simply-rooted",
+                    "when every shared member is full-shadowed, |d(F1) ^ d(F2)| <= #bad(F) + |Z|",
+                    _chk_split_rooted_2),
+    CheckDescriptor("lemma_many_bad_2", "simply-rooted",
+                    "|F_S||F_T| <= 2^n (b1 + b2 + b3 + |Z| - |Y|)",
+                    _product_check(
+                        lambda a, ev: a.b1 + a.b2 + a.b3 + ev.z_mask.bit_count() - len(a.y)
+                    )),
+    CheckDescriptor("lemma_Y_ge_Z", "simply-rooted", "|Z| <= |Y|", _chk_y_ge_z),
+    CheckDescriptor("lemma_refinement", "simply-rooted", "|F_S||F_T| <= 2^n (b1 + b2 + b3)",
+                    _product_check(lambda a, ev: a.b1 + a.b2 + a.b3)),
+    CheckDescriptor("thm_stability_8", "simply-rooted",
+                    "m^2 - q^2 <= 8 * 2^n * (||I(m)|| + m - ||F||)",
+                    _stability_check(8)),
+    CheckDescriptor("probe_degree_bound", "simply-rooted",
+                    "conjectured: ||F|| <= ||I(m)|| + max degree",
+                    _size_check(lambda ev: max(ev.degrees, default=0)), conjecture=True),
+    CheckDescriptor("probe_max_rooted_bound", "simply-rooted",
+                    "conjectured: ||F|| <= ||I(m)|| + q",
+                    _size_check(lambda ev: ev.q), conjecture=True),
+    CheckDescriptor("probe_eps_delta_bound", "simply-rooted",
+                    "conjectured n-free stability at eps = delta = 1/10: "
+                    "10 q <= m implies 10||F|| <= 10||I(m)|| + 9m",
+                    _chk_probe_eps_delta, conjecture=True),
 )
 
-CATALOG_IDS: tuple[str, ...] = tuple(e.id for e in _TABLE if not e.probe)
-PROBE_IDS: tuple[str, ...] = tuple(e.id for e in _TABLE if e.probe)
-_FAMILY_CHECKS: dict[str, FamilyCheck] = {e.id: e.family for e in _TABLE if e.family}
+CATALOG_IDS: tuple[str, ...] = tuple(d.id for d in _TABLE if not d.conjecture)
+PROBE_IDS: tuple[str, ...] = tuple(d.id for d in _TABLE if d.conjecture)
+_FAMILY_CHECKS: dict[str, FamilyCheck] = {d.id: d.family for d in _TABLE if d.family}
 _GLOBAL_CHECKS: dict[str, Callable[[EnumerationPlan | None], _Tally]] = {
-    e.id: e.sweep for e in _TABLE if e.sweep
+    d.id: d.sweep for d in _TABLE if d.sweep
 }
-
-
-@dataclass(frozen=True)
-class CheckDescriptor:
-    """One catalog entry: what is claimed, over which population."""
-
-    id: str
-    statement_ref: str
-    applicability: str  # "simply-rooted" | "any-family" | "numeric"
-    population: EnumerationPlan | None = None
-    conjecture: bool = False
 
 
 def catalog(plan: EnumerationPlan | None = None) -> list[CheckDescriptor]:
     """The full ordered catalog: thirty checks plus the three conjecture probes."""
-    return [
-        CheckDescriptor(
-            id=e.id,
-            statement_ref=e.statement,
-            applicability=e.applicability,
-            population=plan if e.family else None,
-            conjecture=e.probe,
-        )
-        for e in _TABLE
-    ]
+    return [replace(d, population=plan) if d.family else d for d in _TABLE]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,14 @@ from ucfam import (
     family_to_text,
     is_simply_rooted,
 )
-from ucfam.cli import EXIT_CAPACITY, EXIT_CHECK_FAILURE, EXIT_PASS, EXIT_USAGE, main
+from ucfam.cli import (
+    EXIT_CAPACITY,
+    EXIT_CHECK_FAILURE,
+    EXIT_INTERNAL,
+    EXIT_PASS,
+    EXIT_USAGE,
+    main,
+)
 
 P2_MINUS_EMPTY = "n=2\n{1}\n{2}\n{1,2}\n"
 P3_MINUS_EMPTY = "n=3\n{1}\n{2}\n{1,2}\n{3}\n{1,3}\n{2,3}\n{1,2,3}\n"
@@ -299,6 +306,21 @@ def test_verify_capacity_error_is_not_swallowed(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "--n", "2")
     assert code == EXIT_CAPACITY
     assert "over capacity" in err
+
+
+@pytest.mark.parametrize("mode", [(), ("--mode", "random", "--samples", "5")])
+def test_verify_internal_error_is_not_a_check_failure(capsys, monkeypatch, mode):
+    # exit 1 means a check reported violations; a fault of the program must
+    # not reach the shell as that, nor pass
+    def broken(fam):
+        raise RuntimeError("broken rooted masks")
+
+    monkeypatch.setattr("ucfam.verify.build_evidence", broken)
+    code, out, err = run_cli(capsys, "verify", "--n", "2", *mode)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert "error: internal: broken rooted masks" in err
+    assert "Traceback" in err
 
 
 # sha256 of the replayable JSON reports; any change to a check's outcome,
