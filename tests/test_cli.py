@@ -6,12 +6,17 @@ import sys
 
 import pytest
 
+from conftest import simply_rooted_at
 from ucfam import (
     CATALOG_IDS,
     CapacityError,
+    EnumerationPlan,
+    Family,
+    document_json,
     extremal_construction,
     family_from_text,
     family_to_text,
+    indexed_rooted_sample,
     is_simply_rooted,
 )
 from ucfam.cli import (
@@ -20,6 +25,7 @@ from ucfam.cli import (
     EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_USAGE,
+    _analyze_document,
     main,
 )
 
@@ -194,6 +200,25 @@ def test_analyze_missing_file(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/f.txt")
     assert code == EXIT_USAGE
     assert err.startswith("error:")
+
+
+# sha256 of the `analyze` documents of every family at n <= 3 (most are not
+# simply rooted and stop early), the simply rooted families at n = 4 and 100
+# samples at each of n = 6 and 8 (seed 3), in that order
+ANALYZE_DIGEST = "0559de73d5aef1bb134ae568a3d9732c61e247b107dbd82c23c7b6824acd19f8"
+
+
+def test_analyze_document_bytes_golden():
+    fams = [Family(n, mask) for n in range(4) for mask in range(1 << (1 << n))]
+    fams.extend(simply_rooted_at(4))
+    for n in (6, 8):
+        plan = EnumerationPlan(n=n, mode="random", sample_count=100, seed=3)
+        fams.extend(indexed_rooted_sample(plan, i) for i in range(100))
+    h = hashlib.sha256()
+    for fam in fams:
+        h.update(document_json(_analyze_document(fam)).encode())
+    assert len(fams) == 5438
+    assert h.hexdigest() == ANALYZE_DIGEST
 
 
 # ---------------------------------------------------------------------------
