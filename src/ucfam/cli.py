@@ -19,10 +19,8 @@ from .core import (
     family_from_text,
     family_to_text,
     is_downset,
-    is_simply_rooted,
     is_union_closed,
     set_text,
-    stats,
 )
 from .enumeration import (
     EXHAUSTIVE_GROUND_LIMIT,
@@ -32,11 +30,10 @@ from .enumeration import (
     extremal_search,
 )
 from .errors import CapacityError, DomainError, ParseError
-from .stability import deficiency
 from .verify import (
     _FAMILY_CHECKS,
     CATALOG_IDS,
-    build_evidence,
+    Evidence,
     catalog,
     document_json,
     render_table,
@@ -106,26 +103,27 @@ def cmd_colex(args: argparse.Namespace) -> int:
 
 
 def _analyze_document(fam: Family) -> dict:
-    st = stats(fam)
+    """The `analyze` document, read from one evidence record: its scalar
+    fields hold for any family, the rest are read only if it is simply rooted."""
+    ev = Evidence(fam, tuple(bitops.rooted_masks(fam.n, fam.mask)))
     doc: dict = {
         "n": fam.n,
-        "m": st.m,
+        "m": ev.m,
         "union_closed": is_union_closed(fam),
-        "simply_rooted": is_simply_rooted(fam),
-        "total_size": st.total_size,
-        "degrees": list(st.degrees),
-        "max_rooted_count": st.max_rooted_count,
-        "peak_rooted_fraction": _frac(st.p),
-        "colex_total_size": colex.colex_total_size(st.m),
+        "simply_rooted": not bitops.rootless(fam.mask, ev.rooted),
+        "total_size": ev.total,
+        "degrees": list(ev.degrees),
+        "max_rooted_count": ev.q,
+        "peak_rooted_fraction": _frac(Fraction(ev.q, ev.m) if ev.m else 0),
+        "colex_total_size": ev.colex_m,
     }
     if not doc["simply_rooted"]:
         return doc
-    ev = build_evidence(fam)
     moves = [0] * fam.n
     for a, g in ev.down.groups.items():
         for b in bitops.iter_bits(a):
             moves[b] += g.bit_count()
-    doc["deficiency"] = deficiency(fam)
+    doc["deficiency"] = sum(f.bit_count() for f in ev.fallers)
     doc["compression"] = {
         "directions": list(range(1, fam.n + 1)),
         "moves_per_direction": moves,

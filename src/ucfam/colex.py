@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import bitops
-from .core import Family
+from .core import Family, is_downset
 from .errors import CapacityError, DomainError
 
 __all__ = [
@@ -113,8 +113,6 @@ def extremal_construction(m: int) -> Family:
 
 def kk_downset_bound(fam: Family) -> int:
     """||I(|F|)|| - ||F|| for a down-set F (nonnegative); DomainError otherwise."""
-    from .core import is_downset
-
     if not is_downset(fam):
         raise DomainError("family is not a down-set")
     return colex_total_size(len(fam)) - fam.total_size()

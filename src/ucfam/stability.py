@@ -122,6 +122,7 @@ class BadSetAnalysis:
     partition: Partition
     side_s: Family  # members rooted in S, plus {} when present
     side_t: Family
+    shared: Family  # members of both sides, F1 intersect F2
     full_shadow: Family
     fixed: Family
     bad: Family
@@ -134,11 +135,11 @@ class BadSetAnalysis:
 
     @property
     def b1(self) -> int:
-        return (self.full_shadow.mask & ~(self.side_s.mask & self.side_t.mask)).bit_count()
+        return (self.full_shadow.mask & ~self.shared.mask).bit_count()
 
     @property
     def b2(self) -> int:
-        return (self.side_s.mask & self.side_t.mask).bit_count()
+        return len(self.shared)
 
     @property
     def b3(self) -> int:
@@ -183,6 +184,7 @@ def _classify(
         partition=partition,
         side_s=Family(n, side_s),
         side_t=Family(n, side_t),
+        shared=Family(n, side_s & side_t),
         full_shadow=Family(n, fs),
         fixed=Family(n, fixed),
         bad=Family(n, bad),

@@ -227,7 +227,10 @@ class Evidence:
 
     Only the rooted masks are computed up front.  Every other field is built
     from the fields it reads the first time a check reads it, and kept, so a
-    run pays only for the fields its selected checks read.
+    run pays only for the fields its selected checks read.  Every field above
+    `analysis` (the scalars m, m0, degrees, total, colex_m, q and peak among
+    them) holds for any family; `analysis` and the fields built from it need
+    the family simply rooted.
     """
 
     fam: Family
@@ -300,9 +303,13 @@ class Evidence:
         return full_down(self.analysis.side_t)[1]
 
     @_lazy
+    def swept_meet(self) -> int:
+        """|d(F1) & d(F2)|, the members the two swept sides share."""
+        return (self.trace_s.prefix_masks[-1] & self.trace_t.prefix_masks[-1]).bit_count()
+
+    @_lazy
     def z_mask(self) -> int:
-        a = self.analysis
-        return _z_mask(a.side_s.mask & a.side_t.mask, self.down, self.trace_s, self.trace_t)
+        return _z_mask(self.analysis.shared.mask, self.down, self.trace_s, self.trace_t)
 
 
 def build_evidence(fam: Family) -> Evidence:
@@ -457,19 +464,15 @@ def _chk_good_fall(ev: Evidence) -> Outcome:
 
 
 def _chk_split_rooted(ev: Evidence) -> Outcome:
-    d1 = ev.trace_s.prefix_masks[-1]
-    d2 = ev.trace_t.prefix_masks[-1]
-    lhs = (d1 & d2).bit_count()
+    lhs = ev.swept_meet
     rhs = ev.analysis.b + ev.analysis.b2
     return lhs <= rhs, lhs, rhs, None
 
 
 def _chk_lower_b(ev: Evidence) -> Outcome:
     cells = 1 << ev.fam.n
-    d1 = ev.trace_s.prefix_masks[-1]
-    d2 = ev.trace_t.prefix_masks[-1]
-    lhs = d1.bit_count() * d2.bit_count()
-    rhs = cells * (d1 & d2).bit_count()
+    lhs = ev.trace_s.prefix_masks[-1].bit_count() * ev.trace_t.prefix_masks[-1].bit_count()
+    rhs = cells * ev.swept_meet
     if lhs > rhs:
         return False, lhs, rhs, None
     lhs = ev.analysis.side_product
@@ -510,7 +513,8 @@ def _chk_few_with_root(ev: Evidence) -> Outcome:
     plus = Family(n - 1, (mask2 & hi) >> half)
     minus = Family(n - 1, mask2 & ~hi)
     m_plus, m_minus = len(plus), len(minus)
-    acc = plus.total_size() + minus.total_size() + m_plus
+    plus_total = plus.total_size()
+    acc = plus_total + minus.total_size() + m_plus
     if ev.total != acc:
         return False, ev.total, acc, None
     if not (is_simply_rooted(plus) and is_simply_rooted(minus)):
@@ -520,8 +524,8 @@ def _chk_few_with_root(ev: Evidence) -> Outcome:
     if mapped & ~dplus.mask:
         return False, mapped, dplus.mask, None
     rhs = colex_total_size(m_plus) + m_plus - len(dplus)
-    if plus.total_size() > rhs:
-        return False, plus.total_size(), rhs, None
+    if plus_total > rhs:
+        return False, plus_total, rhs, None
     if m_minus <= m_plus and 3 * (m_plus - m_minus) <= 2 * ev.q:
         extra["chain_hypothesis_met"] = 1
         rhs = 3 * (ev.colex_m + ev.m) - ev.q
@@ -631,12 +635,9 @@ def _chk_z_roots(ev: Evidence) -> Outcome:
 
 def _chk_split_rooted_2(ev: Evidence) -> Outcome:
     a = ev.analysis
-    inter = a.side_s.mask & a.side_t.mask
-    if inter & ~a.full_shadow.mask:
-        return False, inter, a.full_shadow.mask, None
-    d1 = ev.trace_s.prefix_masks[-1]
-    d2 = ev.trace_t.prefix_masks[-1]
-    lhs = (d1 & d2).bit_count()
+    if a.shared.mask & ~a.full_shadow.mask:
+        return False, a.shared.mask, a.full_shadow.mask, None
+    lhs = ev.swept_meet
     rhs = a.b + ev.z_mask.bit_count()
     return lhs <= rhs, lhs, rhs, None
 

@@ -380,6 +380,20 @@ def test_spliced_double_drop_fails_the_fall_checks():
     assert _verdicts(spliced, ids) == dict.fromkeys(ids, False)
 
 
+def test_shared_members_and_swept_meet_match_the_sides():
+    # the record's F1 & F2 and |d(F1) & d(F2)| against the sides swept afresh
+    fams = [fam for n in range(5) for fam in simply_rooted_at(n)]
+    plan = EnumerationPlan(n=6, mode="random", sample_count=200, seed=5)
+    fams.extend(indexed_rooted_sample(plan, i) for i in range(200))
+    for fam in fams:
+        ev = build_evidence(fam)
+        a = ev.analysis
+        assert a.shared.mask == a.side_s.mask & a.side_t.mask, fam
+        d1, d2 = full_down(a.side_s)[0], full_down(a.side_t)[0]
+        assert ev.swept_meet == (d1.mask & d2.mask).bit_count(), fam
+        assert ev.z_mask == z_family(fam, a.side_s, a.side_t).mask, fam
+
+
 def test_spliced_double_drop_fails_z_roots():
     # in P(2) the fixed member {1,2} has two roots and three distinct sweep
     # images; counted as moved it would need three roots
