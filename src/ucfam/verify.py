@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isqrt
-from typing import Any, Callable, Iterable, Literal, Sequence
+from typing import Any, Callable, Iterable, Iterator, Literal, Sequence
 
 from . import bitops
 from .colex import (
@@ -266,13 +266,18 @@ class Evidence:
         return (self.comp.mask & ~1) != 0 and all(2 * d > self.m for d in self.degrees)
 
     @_lazy
+    def rooted_counts(self) -> tuple[int, ...]:
+        """|F_i| for i = 1..n, the members rooted at each element."""
+        return tuple(r.bit_count() for r in self.rooted)
+
+    @_lazy
     def q(self) -> int:
-        return max((r.bit_count() for r in self.rooted), default=0)
+        return max(self.rooted_counts, default=0)
 
     @_lazy
     def peak(self) -> int:
         """Smallest element attaining q, 1-based; 0 when n = 0."""
-        counts = [r.bit_count() for r in self.rooted]
+        counts = self.rooted_counts
         return counts.index(self.q) + 1 if counts else 0
 
     @_lazy
@@ -698,7 +703,50 @@ def _global_colex_total(plan: EnumerationPlan | None) -> _Tally:
     return t
 
 
+def _deficiency_split_sides(n: int) -> Iterator[tuple[int, int, int]]:
+    """(mask, ||G||, ||I(|G|)|| + def(G)) for every family G on n points, by
+    ascending mask, scored from the halves of the top-element split."""
+    if n == 0:  # no top element to split at
+        for mask in (0, 1):
+            fam = Family(0, mask)
+            yield (mask, *_deficiency_sides(fam, _fallers(fam)))
+        return
+    halves = []  # (||H||, def(H), |H|) for every family H on n - 1 points
+    for h in range(1 << (1 << (n - 1))):
+        fam = Family(n - 1, h)
+        tot, bound = _deficiency_sides(fam, _fallers(fam))
+        size = h.bit_count()
+        halves.append((tot, bound - colex_total_size(size), size))
+    colex = [colex_total_size(m) for m in range((1 << n) + 1)]
+    shift = 1 << (n - 1)
+    for hi, (tot_hi, def_hi, size_hi) in enumerate(halves):
+        tot_up = tot_hi + size_hi
+        for lo, (tot_lo, def_lo, size_lo) in enumerate(halves):
+            yield ((hi << shift) | lo, tot_lo + tot_up,
+                   colex[size_lo + size_hi] + def_lo + def_hi + (hi & ~lo).bit_count())
+
+
 def _global_deficiency(plan: EnumerationPlan | None) -> _Tally:
+    """lemma_deficiency on the glued colex segments, on the deficiency-3 pairs
+    and, for an exhaustive plan, on all 2^(2^n) families G on n points.
+
+    The exhaustive part scores G from its top-element split, the one
+    enumeration._union_closed_masks builds the table by: lo holds the members
+    of G without n, and hi the members with n, n removed; both are families on
+    n - 1 points, so their sides are built once for all 2^(2^(n-1)) of them.
+
+      ||G|| = ||lo|| + ||hi|| + |hi|, since each member of hi gains n back.
+      def(G) = def(lo) + def(hi) + |hi & ~lo|.  A member B of lo has its
+      shadow sets B - i in lo.  A member B = C + n with C in hi has
+      B - i = (C - i) + n for i in C, which is missing from G iff C - i is
+      missing from hi, and B - n = C, which is missing iff C is not in lo.
+      So the only shadow pairs that cross the halves are (C, C + n), one
+      missing per member of hi & ~lo.
+      |G| = |lo| + |hi|, so ||I(|G|)|| is one table lookup.
+
+    Every mask counts as one instance; a violation carries the mask as its
+    order key, the family's text and its exact sides.
+    """
     t = _Tally()
     for m in range(1, TIGHT_GRID_M + 1):
         for k in range(1, TIGHT_GRID_K + 1):
@@ -723,12 +771,10 @@ def _global_deficiency(plan: EnumerationPlan | None) -> _Tally:
     t.details["deficiency3_pairs"] = seen
     if plan is not None and plan.mode == "exhaustive":
         n = plan.n
-        for mask in range(1 << (1 << n)):
-            fam = Family(n, mask)
-            t.instances += 1
-            lhs, rhs = _deficiency_sides(fam, _fallers(fam))
+        t.instances += 1 << (1 << n)
+        for mask, lhs, rhs in _deficiency_split_sides(n):
             if lhs > rhs:
-                t.violations.append((mask, family_to_text(fam), lhs, rhs))
+                t.violations.append((mask, family_to_text(Family(n, mask)), lhs, rhs))
     return t
 
 

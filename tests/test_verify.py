@@ -16,6 +16,7 @@ from ucfam import (
     classify_sets,
     complement,
     enumeration,
+    family_to_text,
     full_down,
     full_up,
     indexed_rooted_sample,
@@ -25,6 +26,7 @@ from ucfam import (
     z_family,
 )
 from ucfam.enumeration import EnumerationPlan, _union_closed_masks
+from ucfam.stability import _fallers
 from ucfam.verify import (
     CATALOG_IDS,
     PROBE_IDS,
@@ -86,6 +88,7 @@ def test_private_names_the_benchmark_reads():
     assert list(_FAMILY_CHECKS) == family_scope
     assert set(verify._GLOBAL_CHECKS) == {"lemma_colex_total", "lemma_deficiency"}
     assert verify._GLOBAL_CHECKS["lemma_deficiency"](EXHAUSTIVE_2).violations == []
+    assert verify._GLOBAL_CHECKS["lemma_deficiency"](EXHAUSTIVE_4).violations == []
     # its call counter wraps bitops.rooted_mask, and its stage replay calls
     # the stage functions and compares what they return with these fields
     for fn in (bitops.rooted_mask, partition_search, classify_sets, z_family):
@@ -415,6 +418,40 @@ def test_render_table_layout():
     assert "conjecture probes:" in lines
     rule = lines.index("conjecture probes:")
     assert len(lines) == rule + 1 + len(PROBE_IDS)
+
+
+# ---------------------------------------------------------------------------
+# the any-family deficiency scan
+
+
+def _direct_deficiency_sides(n):
+    for mask in range(1 << (1 << n)):
+        fam = Family(n, mask)
+        yield (mask, *verify._deficiency_sides(fam, _fallers(fam)))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_deficiency_split_sides_match_direct(n):
+    assert list(verify._deficiency_split_sides(n)) == list(_direct_deficiency_sides(n))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_deficiency_scan_violations_match_direct(monkeypatch, n):
+    # a colex bound two units short at m = 5 makes the tight 5-member families
+    # fail; the scan must report exactly the direct loop's violations
+    real = verify.colex_total_size
+    monkeypatch.setattr(verify, "colex_total_size", lambda m: real(m) - 2 * (m == 5))
+    plan = EnumerationPlan(n=n, mode="exhaustive")
+    fixed = verify._global_deficiency(None)
+    expected = [
+        (mask, family_to_text(Family(n, mask)), lhs, rhs)
+        for mask, lhs, rhs in _direct_deficiency_sides(n)
+        if lhs > rhs
+    ]
+    assert 0 < len(expected) < 1 << (1 << n)
+    tally = verify._global_deficiency(plan)
+    assert tally.instances == fixed.instances + (1 << (1 << n))
+    assert tally.violations == fixed.violations + expected
 
 
 # ---------------------------------------------------------------------------
