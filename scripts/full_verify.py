@@ -1,8 +1,9 @@
 """Run the whole check suite across ground sizes and save the JSON reports.
 
-Exhaustive for n <= 4, seeded random sampling beyond.  Writes one report per
-ground size to --outdir and prints the human table as it goes.  Exit code 1
-if any non-conjecture check fails anywhere.
+Exhaustive for n <= 4, seeded random sampling beyond.  Each ground size is one
+`ucfam verify` run, which writes its report to --outdir and prints its table.
+Exit code 1 if any non-conjecture check fails anywhere; a run that exits 2
+(usage), 3 (capacity) or 4 (internal error) stops the script with its code.
 
     python scripts/full_verify.py --outdir reports --samples 100000 --seed 7
 """
@@ -12,8 +13,8 @@ import argparse
 import pathlib
 import sys
 
-from ucfam.enumeration import EXHAUSTIVE_GROUND_LIMIT, EnumerationPlan
-from ucfam.verify import catalog, document_json, render_table, run_suite, suite_document
+from ucfam.cli import EXIT_CHECK_FAILURE, EXIT_PASS, main as ucfam_main
+from ucfam.enumeration import EXHAUSTIVE_GROUND_LIMIT
 
 
 def main() -> int:
@@ -28,19 +29,17 @@ def main() -> int:
     args.outdir.mkdir(parents=True, exist_ok=True)
     failed = False
     for n in range(args.max_n + 1):
-        if n <= EXHAUSTIVE_GROUND_LIMIT:
-            plan = EnumerationPlan(n=n, mode="exhaustive")
-        else:
-            plan = EnumerationPlan(
-                n=n, mode="random", sample_count=args.samples, seed=args.seed
-            )
-        reports = run_suite(catalog(plan), parallelism=args.parallel)
-        path = args.outdir / f"verify-n{n}-{plan.mode}.json"
-        path.write_text(document_json(suite_document(plan, reports, None)))
-        print(f"== n = {n} ({plan.mode}) -> {path}")
-        print(render_table(reports))
-        failed |= any(r.status == "fail" and not r.conjecture for r in reports)
-    return 1 if failed else 0
+        mode = "exhaustive" if n <= EXHAUSTIVE_GROUND_LIMIT else "random"
+        path = args.outdir / f"verify-n{n}-{mode}.json"
+        argv = ["verify", "--n", str(n), "--mode", mode]
+        if mode == "random":
+            argv += ["--samples", str(args.samples), "--seed", str(args.seed)]
+        print(f"== n = {n} ({mode}) -> {path}")
+        code = ucfam_main(argv + ["--parallel", str(args.parallel), "--out", str(path)])
+        if code not in (EXIT_PASS, EXIT_CHECK_FAILURE):
+            return code
+        failed |= code == EXIT_CHECK_FAILURE
+    return EXIT_CHECK_FAILURE if failed else EXIT_PASS
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Machine output is JSON (fraction-valued fields rendered as reduced "p/q"
 strings); the verify table is cosmetic.  Exit codes: 0 pass, 1 check failure,
 2 usage or parse error, 3 capacity, 4 internal error (any other exception,
-printed with its traceback).
+printed with its traceback).  scripts/full_verify.py runs every ground size
+as one `verify` call of main, so its runs keep these codes.
 """
 from __future__ import annotations
 
@@ -57,8 +58,10 @@ def _frac(x: Fraction | int) -> str:
     return str(Fraction(x))
 
 
-def cmd_fm(args: argparse.Namespace) -> int:
+def cmd_fm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     m = args.m
+    if m < 1:
+        parser.error("m must be >= 1")
     n = colex.min_ground(m)
     m0 = (1 << n) - m
     doc = {
@@ -68,15 +71,14 @@ def cmd_fm(args: argparse.Namespace) -> int:
         "min_total_size": colex.f_extremal(m),
         "construction": None,
     }
-    fam: Family | None = None
-    if m <= INLINE_FAMILY_LIMIT or args.emit_family:
+    inline = m <= INLINE_FAMILY_LIMIT
+    if inline or args.emit_family:
         fam = colex.extremal_construction(m)
-    if fam is not None and m <= INLINE_FAMILY_LIMIT:
+    if inline:
         doc["construction"] = [set_text(s) for s in fam]
     else:
         doc["note"] = f"construction listed only for m <= {INLINE_FAMILY_LIMIT}; use --emit-family"
     if args.emit_family:
-        assert fam is not None
         with open(args.emit_family, "w") as fh:
             fh.write(family_to_text(fam))
         doc["family_file"] = args.emit_family
@@ -84,8 +86,10 @@ def cmd_fm(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def cmd_colex(args: argparse.Namespace) -> int:
+def cmd_colex(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     m = args.m
+    if m < 1:
+        parser.error("m must be >= 1")
     doc = {
         "m": m,
         "ground": colex.min_ground(m),
@@ -149,7 +153,7 @@ def _analyze_document(fam: Family) -> dict:
     return doc
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.path == "-":
         text = sys.stdin.read()
     else:
@@ -160,6 +164,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     sys.stdout.write(document_json(doc))
     ok = all(row["passed"] for row in doc.get("checks", []))
     return EXIT_PASS if ok else EXIT_CHECK_FAILURE
+
+
+def _add_plan_flags(p: argparse.ArgumentParser) -> None:
+    """--n, --mode, --samples and --seed, which _plan reads."""
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
+    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def _plan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> EnumerationPlan:
@@ -200,7 +212,10 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return EXIT_CHECK_FAILURE if failed else EXIT_PASS
 
 
-def cmd_search(args: argparse.Namespace) -> int:
+def cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    # bad flag values are usage errors, not capacity failures
+    if not 0 <= args.n <= EXHAUSTIVE_GROUND_LIMIT:
+        parser.error(f"search is exhaustive; needs 0 <= --n <= {EXHAUSTIVE_GROUND_LIMIT}")
     best, classes = extremal_search(args.n, args.m)
     doc = {
         "n": args.n,
@@ -243,36 +258,36 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fm = sub.add_parser("fm", help="least total size over union-closed families of m sets")
+    p_fm.set_defaults(run=cmd_fm)
     p_fm.add_argument("m", type=int)
     p_fm.add_argument("--emit-family", metavar="PATH", help="write the extremal family file")
 
     p_colex = sub.add_parser("colex", help="initial colex segment I(m) and its size bound")
+    p_colex.set_defaults(run=cmd_colex)
     p_colex.add_argument("m", type=int)
     p_colex.add_argument("--list", action="store_true", help="force member listing")
 
     p_an = sub.add_parser("analyze", help="full analysis of one family file ('-' for stdin)")
+    p_an.set_defaults(run=cmd_analyze)
     p_an.add_argument("path")
 
     p_ver = sub.add_parser("verify", help="run the inequality check suite")
-    p_ver.add_argument("--n", type=int, required=True)
-    p_ver.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    p_ver.add_argument("--samples", type=int, default=0)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.set_defaults(run=cmd_verify)
+    _add_plan_flags(p_ver)
     p_ver.add_argument("--checks", help="comma-separated check ids (default: all)")
     p_ver.add_argument("--parallel", type=int, default=1)
     p_ver.add_argument("--out", metavar="PATH", help="write the JSON report here")
     p_ver.add_argument("--json", action="store_true", help="JSON to stdout instead of the table")
 
     p_se = sub.add_parser("search", help="exhaustive minimizers of total size at (n, m)")
+    p_se.set_defaults(run=cmd_search)
     p_se.add_argument("--n", type=int, required=True)
     p_se.add_argument("--m", type=int, required=True)
     p_se.add_argument("--emit", metavar="PATH", help="write minimizers, blank-line separated")
 
     p_gen = sub.add_parser("gen", help="emit families from an enumeration plan")
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    p_gen.add_argument("--samples", type=int, default=0)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.set_defaults(run=cmd_gen)
+    _add_plan_flags(p_gen)
     p_gen.add_argument("--size", type=int, help="keep only families with exactly this many members")
     p_gen.add_argument("--contains-empty", choices=("yes", "no"))
     p_gen.add_argument("--rooted", action="store_true", help="simply rooted complements instead")
@@ -283,26 +298,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "fm":
-            if args.m < 1:
-                parser.error("m must be >= 1")
-            return cmd_fm(args)
-        if args.command == "colex":
-            if args.m < 1:
-                parser.error("m must be >= 1")
-            return cmd_colex(args)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "verify":
-            return cmd_verify(args, parser)
-        if args.command == "search":
-            # bad flag values are usage errors, not capacity failures
-            if not 0 <= args.n <= EXHAUSTIVE_GROUND_LIMIT:
-                parser.error(f"search is exhaustive; needs 0 <= --n <= {EXHAUSTIVE_GROUND_LIMIT}")
-            return cmd_search(args)
-        if args.command == "gen":
-            return cmd_gen(args, parser)
-        raise AssertionError(args.command)
+        return args.run(args, parser)
     except (CapacityError, DomainError, OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_USAGE

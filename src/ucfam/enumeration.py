@@ -79,17 +79,15 @@ def substream(seed: int, index: int) -> SplitMix64:
 
 
 def union_closure(n: int, cells: list[int]) -> int:
-    """Characteristic vector of the union closure of the given set encodings."""
+    """Characteristic vector of the union closure of the given set encodings.
+
+    One step per cell: if the family so far is union-closed, adding S and
+    every member joined with S keeps it union-closed, since the union of any
+    two of these sets is again a member, S, or a member joined with S.
+    """
     mask = 0
-    queue = list(cells)
-    while queue:
-        s = queue.pop()
-        if (mask >> s) & 1:
-            continue
-        img = bitops.union_image(n, mask, s) | (1 << s)
-        new = img & ~mask
-        mask |= new
-        queue.extend(bitops.iter_bits(new))
+    for s in cells:
+        mask |= bitops.union_image(n, mask, s) | (1 << s)
     return mask
 
 

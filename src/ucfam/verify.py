@@ -26,7 +26,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Any, Callable, Iterable, Iterator, Literal, Sequence
 
 from . import bitops
@@ -151,13 +151,15 @@ def margin_from_root(c1: Fraction) -> Fraction:
     return 2 * c1 / (9 - 6 * c1)
 
 
-def _root_lower_bound(mu: Fraction, t: int, c: int) -> Fraction:
-    """Certified rational lower bound on the positive root of mu t^2 x^2 + c x - mu."""
-    a, b = mu.numerator, mu.denominator
-    disc = c * c * b * b + 4 * a * a * t * t
+def _root_lower_bound(chain: ConstantChain) -> Fraction:
+    """Certified rational lower bound on the positive root of A p^2 + B p = C."""
+    coeffs = threshold_coefficients(chain)
+    common = lcm(*(x.denominator for x in coeffs))
+    a, b, c = (int(x * common) for x in coeffs)
+    disc = b * b + 4 * a * c
     prec = 10**18
     s = isqrt(disc * prec * prec)  # floor: sqrt(disc) >= s / prec, one-sided
-    lb = Fraction(s - c * b * prec, 2 * a * t * t * prec)
+    lb = Fraction(s - b * prec, 2 * a * prec)
     scale = 10**12  # floor-scale to keep fixpoint denominators small
     return Fraction(max((lb.numerator * scale) // lb.denominator, 0), scale)
 
@@ -171,8 +173,7 @@ def derive_constants(chain: ConstantChain) -> ConstantChain:
     c2 = margin_from_root(c1).  Exact comparisons against the true algebraic
     root go through excluded_fraction.
     """
-    mu = 1 - chain.alpha
-    c1 = _root_lower_bound(mu, chain.split_factor, chain.stability_constant)
+    c1 = _root_lower_bound(chain)
     return ConstantChain(
         chain.split_factor, chain.stability_constant, chain.alpha, c1, margin_from_root(c1)
     )
@@ -711,13 +712,13 @@ def _deficiency_split_sides(n: int) -> Iterator[tuple[int, int, int]]:
             fam = Family(0, mask)
             yield (mask, *_deficiency_sides(fam, _fallers(fam)))
         return
+    colex = [colex_total_size(m) for m in range((1 << n) + 1)]
     halves = []  # (||H||, def(H), |H|) for every family H on n - 1 points
     for h in range(1 << (1 << (n - 1))):
         fam = Family(n - 1, h)
         tot, bound = _deficiency_sides(fam, _fallers(fam))
         size = h.bit_count()
-        halves.append((tot, bound - colex_total_size(size), size))
-    colex = [colex_total_size(m) for m in range((1 << n) + 1)]
+        halves.append((tot, bound - colex[size], size))
     shift = 1 << (n - 1)
     for hi, (tot_hi, def_hi, size_hi) in enumerate(halves):
         tot_up = tot_hi + size_hi
@@ -953,7 +954,7 @@ class CheckReport:
             ],
             "violations_seen": self.violations_seen,
             "status": self.status,
-            "details": dict(sorted(self.details.items())),
+            "details": self.details,
             "conjecture": self.conjecture,
         }
 
@@ -961,7 +962,7 @@ class CheckReport:
 def _run_shard(args: tuple[EnumerationPlan, int, int, tuple[str, ...]]) -> dict[str, _Tally]:
     """Run the family checks `ids` on `count` families of the plan from index `start`."""
     plan, start, count, ids = args
-    tallies = {cid: _Tally() for cid in ids}
+    tallies = {cid: _Tally(instances=count) for cid in ids}
     checks = [(_FAMILY_CHECKS[cid], tallies[cid]) for cid in ids]
     clock = time.perf_counter
     for index in range(start, start + count):
@@ -971,7 +972,6 @@ def _run_shard(args: tuple[EnumerationPlan, int, int, tuple[str, ...]]) -> dict[
             t0 = clock()
             ok, lhs, rhs, extra = check(ev)
             t.seconds += clock() - t0
-            t.instances += 1
             if not ok:
                 if text is None:
                     text = family_to_text(ev.fam)
@@ -1028,28 +1028,17 @@ def run_suite(
             swept = _GLOBAL_CHECKS[d.id](plan)
             swept.seconds = time.perf_counter() - t0
             tally.add(swept)
-        tally.violations.sort(key=lambda rec: rec[0])
-        kept = tuple(Violation(text, lhs, rhs) for _, text, lhs, rhs in
-                     tally.violations[:VIOLATION_CAP])
-        status: Literal["pass", "fail", "skipped"]
-        if tally.instances == 0:
-            status = "skipped"
-        elif tally.violations:
-            status = "fail"
-        else:
-            status = "pass"
-        reports.append(
-            CheckReport(
-                id=d.id,
-                instances_tested=tally.instances,
-                violations=kept,
-                violations_seen=len(tally.violations),
-                status=status,
-                wall_time=tally.seconds,
-                details=tally.details,
-                conjecture=d.conjecture,
-            )
-        )
+        found = sorted(tally.violations, key=lambda rec: rec[0])
+        reports.append(CheckReport(
+            id=d.id,
+            instances_tested=tally.instances,
+            violations=tuple(Violation(*rec[1:]) for rec in found[:VIOLATION_CAP]),
+            violations_seen=len(found),
+            status="skipped" if not tally.instances else "fail" if found else "pass",
+            wall_time=tally.seconds,
+            details=tally.details,
+            conjecture=d.conjecture,
+        ))
     return reports
 
 
@@ -1080,30 +1069,20 @@ def document_json(doc: dict) -> str:
 
 def render_table(reports: Iterable[CheckReport]) -> str:
     """Human-readable result table, probes separated below the rule."""
-    rows = [("check", "status", "instances", "violations", "seconds")]
-    reports = list(reports)
-
-    def fmt(r: CheckReport) -> tuple[str, str, str, str, str]:
-        return (
-            r.id,
-            r.status,
-            str(r.instances_tested),
-            str(r.violations_seen),
-            f"{r.wall_time:.2f}",
-        )
-
-    rows.extend(fmt(r) for r in reports if not r.conjecture)
-    probe_rows = [fmt(r) for r in reports if r.conjecture]
-    widths = [
-        max(len(row[col]) for row in rows + probe_rows) for col in range(5)
+    header = ("check", "status", "instances", "violations", "seconds")
+    rows = [
+        ((r.id, r.status, str(r.instances_tested), str(r.violations_seen), f"{r.wall_time:.2f}"),
+         r.conjecture)
+        for r in reports
     ]
-    lines = []
-    for i, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    if probe_rows:
-        lines.append("conjecture probes:")
-        for row in probe_rows:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    widths = [max(map(len, column)) for column in zip(header, *(cells for cells, _ in rows))]
+
+    def line(cells: Sequence[str]) -> str:
+        return "  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip()
+
+    lines = [line(header), "  ".join("-" * w for w in widths)]
+    lines += [line(cells) for cells, probe in rows if not probe]
+    probes = [line(cells) for cells, probe in rows if probe]
+    if probes:
+        lines += ["conjecture probes:", *probes]
     return "\n".join(lines) + "\n"

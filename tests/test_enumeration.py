@@ -29,7 +29,7 @@ from ucfam import (
     is_union_closed,
     random_union_closed,
 )
-from ucfam.enumeration import population_size
+from ucfam.enumeration import population_size, union_closure
 
 UNION_CLOSED_COUNTS = {0: 2, 1: 4, 2: 14, 3: 122, 4: 4960}
 
@@ -108,6 +108,25 @@ def test_random_union_closed_is_closed_and_deterministic():
         fam = random_union_closed(5, seed % 5 + 1, seed)
         assert is_union_closed(fam)
     assert random_union_closed(6, 4, 123) == random_union_closed(6, 4, 123)
+
+
+def _fixpoint_closure(cells: list[int]) -> int:
+    """Add pairwise unions until none is new, on plain sets of encodings."""
+    sets = set(cells)
+    while True:
+        grown = sets | {a | b for a in sets for b in sets}
+        if grown == sets:
+            return sum(1 << s for s in sets)
+        sets = grown
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+))
+def test_union_closure_matches_fixpoint(case):
+    n, cells = case
+    assert union_closure(n, cells) == _fixpoint_closure(cells)
 
 
 def test_random_stream_is_reproducible():
