@@ -15,6 +15,14 @@ the vector by the cached cells without i (_off_axes), never building ~axis.
 The rooted masks and the join-reducible members both need, for every
 element b, a sweep over every element but b; _without_each is the one
 driver that shares those sweeps.
+
+Lanes: several families on the same n points sit side by side in one int,
+family k in bits k*2^n .. (k+1)*2^n - 1 (pack_lanes).  A subset step by
+element i shifts by 2^(i-1) < 2^n and keeps the shifted bit only on cells
+that contain i, whose source cell (the same set less i) lies in the same
+lane; so no bit crosses a lane, and with the off-axis table repeated in
+every lane (_lane_off_axes) one _without_each sweep serves every lane at
+once (rootless_lanes).
 """
 from __future__ import annotations
 
@@ -49,6 +57,19 @@ def axis(n: int, i: int) -> int:
 def _off_axes(n: int) -> tuple[int, ...]:
     """Cells without element i, at index i - 1 (the complements of the axes)."""
     return tuple(universe(n) & ~axis(n, i) for i in range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def _lane_ones(n: int, lanes: int) -> int:
+    """The empty-set cell of each of `lanes` lanes of 2^n bits."""
+    return ((1 << (lanes << n)) - 1) // universe(n)
+
+
+@lru_cache(maxsize=None)
+def _lane_off_axes(n: int, lanes: int) -> tuple[int, ...]:
+    """_off_axes(n) repeated in each of `lanes` lanes of 2^n bits."""
+    ones = _lane_ones(n, lanes)
+    return tuple(off * ones for off in _off_axes(n))
 
 
 def iter_bits(x: int) -> Iterator[int]:
@@ -87,13 +108,13 @@ def union_image(n: int, mask: int, s: int) -> int:
     return out
 
 
-def _subset_steps(n: int, g: int, elements: range) -> int:
-    """Apply the subset-AND step of subset_and for each element of `elements`.
+def _subset_steps(off: Sequence[int], g: int, elements: range) -> int:
+    """Apply the subset-AND step of subset_and for each element of `elements`,
+    `off` being the off-axis table (_off_axes, or _lane_off_axes for lanes).
 
     g keeps a cell with element i only if the cell without i is in g too.
     The steps commute, so any subset of them may be applied in any order.
     """
-    off = _off_axes(n)
     for i in elements:
         g &= off[i - 1] | (g << (1 << (i - 1)))
     return g
@@ -104,26 +125,29 @@ def subset_and(n: int, mask: int) -> int:
 
     This marks the sets whose entire power set lies in the family.
     """
-    return _subset_steps(n, mask, range(1, n + 1))
+    return _subset_steps(_off_axes(n), mask, range(1, n + 1))
 
 
 def rooted_mask(n: int, mask: int, b: int) -> int:
     """Cells B with b in B and the whole interval [{b}, B] inside the family."""
-    swept = _subset_steps(n, mask, range(1, b))
-    return _subset_steps(n, swept, range(b + 1, n + 1)) & axis(n, b)
+    off = _off_axes(n)
+    swept = _subset_steps(off, mask, range(1, b))
+    return _subset_steps(off, swept, range(b + 1, n + 1)) & axis(n, b)
 
 
 def _without_each(
-    n: int, state: State, steps: Callable[[int, State, range], State]
+    off: Sequence[int], state: State, steps: Callable[[Sequence[int], State, range], State]
 ) -> Iterator[tuple[int, State]]:
-    """Yield (b, state swept by `steps` over every element but b) for b = 1..n.
+    """Yield (b, state swept by `steps` over every element but b) for b = 1..n,
+    n = len(off), the off-axis table that each `steps` call receives.
 
-    `steps(n, state, elements)` must apply commuting per-element steps.
+    `steps(off, state, elements)` must apply commuting per-element steps.
     Halving the element range shares the sweeps: each half is entered after
     sweeping the other half, so the n results cost n log n steps instead of
     n(n - 1).  The halves wait on an explicit stack (a recursive nested
     function would be a reference cycle per call).
     """
+    n = len(off)
     todo = [(state, 1, n + 1)] if n else []  # (state, lo, hi): elements lo..hi-1 not yet swept
     while todo:
         state, lo, hi = todo.pop()
@@ -131,25 +155,44 @@ def _without_each(
             yield lo, state
             continue
         mid = (lo + hi) // 2
-        todo.append((steps(n, state, range(lo, mid)), mid, hi))
-        todo.append((steps(n, state, range(mid, hi)), lo, mid))
+        todo.append((steps(off, state, range(lo, mid)), mid, hi))
+        todo.append((steps(off, state, range(mid, hi)), lo, mid))
 
 
 def rooted_masks(n: int, mask: int) -> list[int]:
     """rooted_mask for every b = 1..n (index b-1 in the result), by one
     _without_each sweep: sweeping every element but b leaves the cells
     through b whose interval [{b}, B] lies in the family."""
-    return [g & axis(n, b) for b, g in _without_each(n, mask, _subset_steps)]
+    return [g & axis(n, b) for b, g in _without_each(_off_axes(n), mask, _subset_steps)]
 
 
-def _up_steps(n: int, gh: tuple[int, int], elements: range) -> tuple[int, int]:
+def pack_lanes(n: int, masks: Iterable[int]) -> int:
+    """Families on n points side by side, the k-th in lane k (bits from k*2^n)."""
+    out = 0
+    for k, mask in enumerate(masks):
+        out |= mask << (k << n)
+    return out
+
+
+def rootless_lanes(n: int, packed: int, lanes: int) -> int:
+    """rootless for each of `lanes` families packed by pack_lanes, in place:
+    the nonempty cells of each lane that no element roots.  One
+    _without_each sweep over the lane-repeated table roots every lane, as
+    rooted_masks roots one family; a family alone is the case lanes = 1."""
+    off = _lane_off_axes(n, lanes)
+    anyroot = _lane_ones(n, lanes)  # the empty cells need no root
+    for b, g in _without_each(off, packed, _subset_steps):
+        anyroot |= g & ~off[b - 1]
+    return packed & ~anyroot
+
+
+def _up_steps(off: Sequence[int], gh: tuple[int, int], elements: range) -> tuple[int, int]:
     """Apply the superset steps of reducible for each element of `elements`.
 
     g gains every cell one element i above a cell of g (the superset
     closure); h gains the same cells, which lie strictly above a cell of g
     (the strict superset closure).  The steps commute, as in _subset_steps.
     """
-    off = _off_axes(n)
     g, h = gh
     for i in elements:
         up = (g & off[i - 1]) << (1 << (i - 1))
@@ -170,7 +213,7 @@ def reducible(n: int, mask: int) -> int:
     """
     off = _off_axes(n)
     out = mask & ~1
-    for b, (_, h) in _without_each(n, (mask, 0), _up_steps):
+    for b, (_, h) in _without_each(off, (mask, 0), _up_steps):
         out &= h | off[b - 1]
     return out
 

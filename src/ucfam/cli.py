@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -197,15 +198,17 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             parser.error(f"unknown check ids: {', '.join(unknown)}")
         descriptors = [d for d in descriptors if d.id in set(wanted)]
         selected = [d.id for d in descriptors]
-    reports = run_suite(descriptors, parallelism=args.parallel)
-    doc = suite_document(plan, reports, selected)
-    if args.json:
-        sys.stdout.write(document_json(doc))
-    else:
-        print(render_table(reports))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(document_json(doc))
+    # --out is opened before the run, so a path that cannot be written fails
+    # at once rather than after the whole suite
+    with open(args.out, "w") if args.out else nullcontext() as out:
+        reports = run_suite(descriptors, parallelism=args.parallel)
+        doc = suite_document(plan, reports, selected)
+        if args.json:
+            sys.stdout.write(document_json(doc))
+        else:
+            print(render_table(reports))
+        if out is not None:
+            out.write(document_json(doc))
     failed = [
         r for r in reports if not r.conjecture and r.status == "fail"
     ]

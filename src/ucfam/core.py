@@ -174,7 +174,7 @@ def is_union_closed(fam: Family) -> bool:
 
 def is_simply_rooted(fam: Family) -> bool:
     """Every nonempty member has a root (see module docstring)."""
-    return not bitops.rootless(fam.mask, bitops.rooted_masks(fam.n, fam.mask))
+    return not bitops.rootless_lanes(fam.n, fam.mask, 1)
 
 
 def is_downset(fam: Family) -> bool:

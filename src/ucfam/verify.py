@@ -385,12 +385,15 @@ def _toggle_cell(fam: Family) -> int:
 
 
 def _chk_reimer_basics(ev: Evidence) -> Outcome:
+    """The swept family is a down-set and every sweep prefix k = 1..n is simply
+    rooted; prefix k is tested in lane k - 1 of one rooted-mask sweep."""
+    n, prefixes = ev.fam.n, ev.down.prefix_masks
     if not is_downset(ev.down.result):
         return False, ev.down.result.mask, 0, None
-    for k in range(1, ev.fam.n + 1):
-        pref = ev.down.prefix_family(k)
-        if not is_simply_rooted(pref):
-            return False, k, pref.mask, None
+    rootless = bitops.rootless_lanes(n, bitops.pack_lanes(n, prefixes[1:]), n)
+    if rootless:
+        k = (_lowest(rootless) >> n) + 1
+        return False, k, prefixes[k], None
     return True, 0, 0, None
 
 
@@ -523,7 +526,7 @@ def _chk_few_with_root(ev: Evidence) -> Outcome:
     acc = plus_total + minus.total_size() + m_plus
     if ev.total != acc:
         return False, ev.total, acc, None
-    if not (is_simply_rooted(plus) and is_simply_rooted(minus)):
+    if bitops.rootless_lanes(n - 1, mask2, 2):  # lane 0 is minus, lane 1 plus
         return False, plus.mask, minus.mask, None
     dplus = largest_downset(plus)
     mapped = bitops.swap_elements(n, ev.rooted[ev.peak - 1], ev.peak, n) >> half

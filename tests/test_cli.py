@@ -400,6 +400,21 @@ def test_verify_out_matches_stdout(capsys, tmp_path):
     assert out.read_text() == stdout
 
 
+def test_verify_unwritable_out_fails_before_the_run(capsys, tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the suite ran before --out was opened")
+
+    monkeypatch.setattr("ucfam.cli.run_suite", never)
+    out = tmp_path / "missing" / "x.json"
+    code, stdout, err = run_cli(
+        capsys, "verify", "--n", "6", "--mode", "random", "--samples", "2000",
+        "--seed", "7", "--out", str(out),
+    )
+    assert code == EXIT_USAGE
+    assert stdout == "" and "No such file or directory" in err
+    assert not out.parent.exists()
+
+
 def test_verify_random_run_reproducible(capsys):
     argv = ("verify", "--n", "5", "--mode", "random", "--samples", "300",
             "--seed", "9", "--json")

@@ -232,16 +232,64 @@ def test_rooted_masks_match_rooted_mask_sampled(fam):
 @pytest.mark.parametrize("n", range(13))
 def test_without_each_sweeps_every_element_but_one(n):
     # a state that records which elements were swept: b, then all but b
-    def record(_n, swept, elements):
+    off = bitops._off_axes(n)
+
+    def record(table, swept, elements):
+        assert table is off, "every step gets the driver's table"
         for i in elements:
             assert not (swept >> (i - 1)) & 1, "element swept twice"
             swept |= 1 << (i - 1)
         return swept
 
     full = (1 << n) - 1
-    assert list(bitops._without_each(n, 0, record)) == [
+    assert list(bitops._without_each(off, 0, record)) == [
         (b, full ^ (1 << (b - 1))) for b in range(1, n + 1)
     ]
+
+
+def lane_rootless_want(n: int, masks: list[int]) -> int:
+    """rootless of each family by its own rooted masks, packed lane by lane."""
+    return bitops.pack_lanes(n, [bitops.rootless(m, bitops.rooted_masks(n, m)) for m in masks])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_rootless_lanes_match_rooted_masks_exhaustive(n):
+    # every ordered pair of families on n points, in two lanes
+    masks = range(1 << (1 << n))
+    for a in masks:
+        for b in masks:
+            packed = bitops.pack_lanes(n, [a, b])
+            assert bitops.rootless_lanes(n, packed, 2) == lane_rootless_want(n, [a, b]), (a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_rootless_lanes_match_rooted_masks_sampled(data):
+    n = data.draw(st.integers(0, 9))
+    lanes = data.draw(st.integers(1, n + 1))
+    fams = st.one_of(families(min_n=n, max_n=n), rooted_families(min_n=n, max_n=n))
+    masks = [data.draw(fams).mask for _ in range(lanes)]
+    got = bitops.rootless_lanes(n, bitops.pack_lanes(n, masks), lanes)
+    assert got == lane_rootless_want(n, masks)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_rootless_lanes_are_independent(n):
+    # the family {{1..n}} has no root; a full or empty lane beside it must
+    # neither root it nor be flagged
+    lonely = 1 << ((1 << n) - 1)
+    for other in (Family.powerset(n).mask, Family.empty(n).mask):
+        for lane in range(3):
+            masks = [other] * 3
+            masks[lane] = lonely
+            got = bitops.rootless_lanes(n, bitops.pack_lanes(n, masks), 3)
+            assert got == lonely << (lane << n)
+
+
+def test_rootless_lanes_without_lanes():
+    assert bitops.rootless_lanes(0, 0, 0) == 0
+    assert bitops.rootless_lanes(3, 0, 0) == 0
+    assert bitops.pack_lanes(3, []) == 0
 
 
 def wide_families(n: int):

@@ -1,5 +1,6 @@
 """Check catalog, suite runner, and the constant-derivation chain."""
 import hashlib
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -20,6 +21,7 @@ from ucfam import (
     full_down,
     full_up,
     indexed_rooted_sample,
+    is_downset,
     is_union_closed,
     partition_search,
     verify,
@@ -361,6 +363,103 @@ def test_cube_set_matches_pair_reference(n):
 @given(families(min_n=4, max_n=6))
 def test_cube_set_matches_pair_reference_sampled(fam):
     cube_set_agrees(fam)
+
+
+# ---------------------------------------------------------------------------
+# the lane-swept rootedness clauses fail as the one-family tests did
+
+
+def _simply_rooted(fam: Family) -> bool:
+    """The one-family test: every nonempty member covered by a rooted mask."""
+    return not bitops.rootless(fam.mask, bitops.rooted_masks(fam.n, fam.mask))
+
+
+def reimer_basics_reference(ev: Evidence):
+    """lemma_reimer_basics with one rootedness test per sweep prefix."""
+    if not is_downset(ev.down.result):
+        return False, ev.down.result.mask, 0, None
+    for k in range(1, ev.fam.n + 1):
+        pref = ev.down.prefix_family(k)
+        if not _simply_rooted(pref):
+            return False, k, pref.mask, None
+    return True, 0, 0, None
+
+
+def _halves(ev: Evidence) -> tuple[Family, Family]:
+    """lemma_few_with_root's split at the peak moved on top: (plus, minus)."""
+    n = ev.fam.n
+    mask2 = bitops.swap_elements(n, ev.fam.mask, ev.peak, n)
+    return Family(n - 1, mask2 >> (1 << (n - 1))), Family(n - 1, mask2 & bitops.universe(n - 1))
+
+
+def few_with_root_halves_reference(ev: Evidence):
+    """lemma_few_with_root up to its half clause, with one rootedness test
+    per half: the outcome it returns there, or None if it goes on."""
+    if ev.fam.n == 0 or ev.m0 == 0:
+        return True, 0, 0, {"degenerate": 1}
+    plus, minus = _halves(ev)
+    acc = plus.total_size() + minus.total_size() + len(plus)
+    if ev.total != acc:
+        return False, ev.total, acc, None
+    if not (_simply_rooted(plus) and _simply_rooted(minus)):
+        return False, plus.mask, minus.mask, None
+    return None
+
+
+def rootedness_failures(fams) -> tuple[int, int]:
+    """Compare both rows with the references on the evidence record of each
+    family, simply rooted or not; count the failures of the two clauses."""
+    reimer, few = _FAMILY_CHECKS["lemma_reimer_basics"], _FAMILY_CHECKS["lemma_few_with_root"]
+    reimer_fails = halves_fails = 0
+    for fam in fams:
+        ev = Evidence(fam, tuple(bitops.rooted_masks(fam.n, fam.mask)))
+        want = reimer_basics_reference(ev)
+        assert reimer(ev) == want, fam
+        reimer_fails += not want[0]
+        want, got = few_with_root_halves_reference(ev), few(ev)
+        if want is None:  # past the half clause, the row must not stop there
+            plus, minus = _halves(ev)
+            assert got != (False, plus.mask, minus.mask, None), fam
+        else:
+            assert got == want, fam
+            halves_fails += not want[0]
+    return reimer_fails, halves_fails
+
+
+def test_rootedness_failures_match_one_family_tests_exhaustive():
+    # every family on at most 3 points; at n = 3, 44 fail the sweep prefixes
+    # and 80 the halves
+    counts = [
+        rootedness_failures(Family(n, mask) for mask in range(1 << (1 << n))) for n in range(4)
+    ]
+    assert counts[3] == (44, 80)
+
+
+def test_rootedness_failures_match_one_family_tests_sampled():
+    rng = random.Random(16)
+    for n in (4, 5, 6):
+        fams = [Family(n, rng.getrandbits(1 << n)) for _ in range(2000)]
+        plan = EnumerationPlan(n=n, mode="random", sample_count=100, seed=16)
+        fams.extend(indexed_rooted_sample(plan, i) for i in range(100))
+        reimer_fails, halves_fails = rootedness_failures(fams)
+        assert reimer_fails and halves_fails
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_reimer_basics_reports_the_first_rootless_prefix(k):
+    # a hand-built sweep on 4 points whose prefixes 1..k-1 are simply rooted,
+    # whose prefixes k..3 hold only a rootless member, and whose result is a
+    # down-set: the row names prefix k, not a later one
+    n = 4
+    rooted = Family.from_sets(n, [[], [1], [2], [1, 2]]).mask
+    lonely = [Family.from_sets(n, [[1, 2, j]]).mask for j in (3, 4)]
+    prefixes = (rooted,) + (rooted,) * (k - 1) + tuple(lonely[: n - k]) + (1,)
+    assert not any(_simply_rooted(Family(n, p)) for p in prefixes[k:n])
+    fam = Family(n, rooted)
+    ev = Evidence(fam, tuple(bitops.rooted_masks(n, rooted)))
+    object.__setattr__(ev, "down", CompressionTrace(n, fam, prefixes, {}))
+    assert _FAMILY_CHECKS["lemma_reimer_basics"](ev) == (False, k, prefixes[k], None)
+    assert reimer_basics_reference(ev) == (False, k, prefixes[k], None)
 
 
 # ---------------------------------------------------------------------------
