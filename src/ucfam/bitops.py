@@ -21,8 +21,10 @@ family k in bits k*2^n .. (k+1)*2^n - 1 (pack_lanes).  A subset step by
 element i shifts by 2^(i-1) < 2^n and keeps the shifted bit only on cells
 that contain i, whose source cell (the same set less i) lies in the same
 lane; so no bit crosses a lane, and with the off-axis table repeated in
-every lane (_lane_off_axes) one _without_each sweep serves every lane at
-once (rootless_lanes).
+every lane (_off_axes(n, lanes); one family is lanes = 1) one _without_each
+sweep serves every lane at once (rootless_lanes).  A family on n points is
+two lanes on n - 1 points, its members without n and its members with n less
+n: split_top reads that top-element split and pack_lanes joins it.
 """
 from __future__ import annotations
 
@@ -54,22 +56,17 @@ def axis(n: int, i: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _off_axes(n: int) -> tuple[int, ...]:
-    """Cells without element i, at index i - 1 (the complements of the axes)."""
-    return tuple(universe(n) & ~axis(n, i) for i in range(1, n + 1))
-
-
-@lru_cache(maxsize=None)
 def _lane_ones(n: int, lanes: int) -> int:
     """The empty-set cell of each of `lanes` lanes of 2^n bits."""
     return ((1 << (lanes << n)) - 1) // universe(n)
 
 
 @lru_cache(maxsize=None)
-def _lane_off_axes(n: int, lanes: int) -> tuple[int, ...]:
-    """_off_axes(n) repeated in each of `lanes` lanes of 2^n bits."""
+def _off_axes(n: int, lanes: int = 1) -> tuple[int, ...]:
+    """Cells without element i, at index i - 1 (the complements of the axes),
+    repeated in each of `lanes` lanes of 2^n bits."""
     ones = _lane_ones(n, lanes)
-    return tuple(off * ones for off in _off_axes(n))
+    return tuple((universe(n) & ~axis(n, i)) * ones for i in range(1, n + 1))
 
 
 def iter_bits(x: int) -> Iterator[int]:
@@ -110,7 +107,7 @@ def union_image(n: int, mask: int, s: int) -> int:
 
 def _subset_steps(off: Sequence[int], g: int, elements: range) -> int:
     """Apply the subset-AND step of subset_and for each element of `elements`,
-    `off` being the off-axis table (_off_axes, or _lane_off_axes for lanes).
+    `off` being the off-axis table (_off_axes(n, lanes), one lane or many).
 
     g keeps a cell with element i only if the cell without i is in g too.
     The steps commute, so any subset of them may be applied in any order.
@@ -174,12 +171,19 @@ def pack_lanes(n: int, masks: Iterable[int]) -> int:
     return out
 
 
+def split_top(n: int, mask: int) -> tuple[int, int]:
+    """The top-element split (lo, hi) of a family on n >= 1 points: lo holds
+    the members without n and hi the members with n, n removed, both families
+    on n - 1 points.  The inverse of pack_lanes(n - 1, (lo, hi))."""
+    return mask & universe(n - 1), mask >> (1 << (n - 1))
+
+
 def rootless_lanes(n: int, packed: int, lanes: int) -> int:
     """rootless for each of `lanes` families packed by pack_lanes, in place:
     the nonempty cells of each lane that no element roots.  One
     _without_each sweep over the lane-repeated table roots every lane, as
     rooted_masks roots one family; a family alone is the case lanes = 1."""
-    off = _lane_off_axes(n, lanes)
+    off = _off_axes(n, lanes)
     anyroot = _lane_ones(n, lanes)  # the empty cells need no root
     for b, g in _without_each(off, packed, _subset_steps):
         anyroot |= g & ~off[b - 1]

@@ -100,14 +100,14 @@ def extremal_construction(m: int) -> Family:
     """A union-closed family of m sets with total size f_extremal(m).
 
     Take the full power set of {1..n} and delete {B + {n} : B in I(m')},
-    m' = 2^n - m.  The deleted cells are the segment cells shifted into the
-    top half of the cube.
+    m' = 2^n - m.  The deleted cells are the segment cells joined as the top
+    half of the cube's top-element split.
     """
     n = min_ground(m)
     if n > bitops.MAX_GROUND:
         raise CapacityError(f"extremal family needs ground size {n} > {bitops.MAX_GROUND}")
     m2 = (1 << n) - m
-    deleted = ((1 << m2) - 1) << (1 << (n - 1)) if n else 0
+    deleted = bitops.pack_lanes(n - 1, (0, (1 << m2) - 1)) if n else 0
     return Family(n, bitops.universe(n) ^ deleted)
 
 

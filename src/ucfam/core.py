@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import bitops
 from .bitops import MAX_GROUND
@@ -206,15 +206,15 @@ def roots(fam: Family, s: int) -> int:
 
 def rooted_subfamily(fam: Family, s_elements: int) -> Family:
     """Members rooted at some element of the encoded element set; never contains {}."""
-    rooted = bitops.rooted_masks(fam.n, fam.mask)
-    _require_simply_rooted(fam, rooted)
-    return Family(fam.n, bitops.rooted_union(rooted, s_elements))
+    return Family(fam.n, bitops.rooted_union(_simply_rooted_masks(fam), s_elements))
 
 
-def _require_simply_rooted(fam: Family, rooted: Sequence[int]) -> None:
-    """DomainError unless the rooted masks of fam cover every nonempty member."""
+def _simply_rooted_masks(fam: Family) -> tuple[int, ...]:
+    """fam's rooted masks (bitops.rooted_masks); DomainError unless fam is simply rooted."""
+    rooted = tuple(bitops.rooted_masks(fam.n, fam.mask))
     if bitops.rootless(fam.mask, rooted):
         raise DomainError("family is not simply rooted")
+    return rooted
 
 
 @dataclass(frozen=True)

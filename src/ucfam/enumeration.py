@@ -193,21 +193,20 @@ def _union_closed_masks(n: int) -> tuple[int, ...]:
     """Every union-closed family on {1..n}, ascending, built by the top-element split.
 
     F is union-closed iff F = A | {B + n : B in Bs} with A and Bs union-closed
-    on {1..n-1} and A inside S(Bs) (_join_stable).  F's mask is A's plus Bs's
-    shifted past the cells without n, so taking Bs, then A, each in ascending
-    order gives the table in ascending order.
+    on {1..n-1} and A inside S(Bs) (_join_stable).  F's mask joins the split
+    as bitops.pack_lanes(n - 1, (A, Bs)), so taking Bs, then A, each in
+    ascending order gives the table in ascending order.
     """
     if n == 0:
         return (0, 1)
     below = _union_closed_masks(n - 1)
-    shift = 1 << (n - 1)
     inside: dict[int, list[int]] = {}  # S(Bs) -> the A inside it, ascending
     out = []
     for high in below:
         stable = _join_stable(n - 1, high)
         if stable not in inside:
             inside[stable] = [a for a in below if not a & ~stable]
-        top = high << shift
+        top = bitops.pack_lanes(n - 1, (0, high))
         out.extend(top | a for a in inside[stable])
     return tuple(out)
 

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import bitops
 from .compression import CompressionTrace, full_down
-from .core import Family, _require_simply_rooted
+from .core import Family, _simply_rooted_masks
 from .errors import CapacityError, DomainError
 
 __all__ = [
@@ -98,9 +98,7 @@ def partition_search(fam: Family) -> Partition:
       a + c >= m0 for a = |F_S| and c = |F_T|;
     - hence 4ac = (a + c)^2 - (c - a)^2 >= m0^2 - q^2.
     """
-    rooted = bitops.rooted_masks(fam.n, fam.mask)
-    _require_simply_rooted(fam, rooted)
-    return _partition(fam, rooted)
+    return _partition(fam, _simply_rooted_masks(fam))
 
 
 def _partition(fam: Family, rooted: Sequence[int]) -> Partition:
@@ -153,8 +151,7 @@ class BadSetAnalysis:
 
 def classify_sets(fam: Family, partition: Partition | None = None) -> BadSetAnalysis:
     """Split a simply rooted family into bad and good members."""
-    rooted = bitops.rooted_masks(fam.n, fam.mask)
-    _require_simply_rooted(fam, rooted)
+    rooted = _simply_rooted_masks(fam)
     _, down = full_down(fam)
     return _classify(fam, rooted, down, _fallers(fam), partition)
 

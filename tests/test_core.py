@@ -38,6 +38,7 @@ from ucfam import (
     shadow,
     stats,
 )
+from ucfam.core import _simply_rooted_masks
 from ucfam.enumeration import SplitMix64
 
 
@@ -290,6 +291,53 @@ def test_rootless_lanes_without_lanes():
     assert bitops.rootless_lanes(0, 0, 0) == 0
     assert bitops.rootless_lanes(3, 0, 0) == 0
     assert bitops.pack_lanes(3, []) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_split_top_inverts_pack_lanes_exhaustive(n):
+    halves = range(1 << (1 << (n - 1)))
+    for mask in range(1 << (1 << n)):
+        lo, hi = bitops.split_top(n, mask)
+        assert lo in halves and hi in halves
+        assert bitops.pack_lanes(n - 1, (lo, hi)) == mask
+    for lo in halves:
+        for hi in halves:
+            assert bitops.split_top(n, bitops.pack_lanes(n - 1, (lo, hi))) == (lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_split_top_is_the_top_element_split_sampled(data):
+    n = data.draw(st.integers(1, 10))
+    mask = data.draw(st.integers(0, bitops.universe(n)))
+    lo, hi = bitops.split_top(n, mask)
+    assert bitops.pack_lanes(n - 1, (lo, hi)) == mask
+    sets = members(Family(n, mask))
+    assert members(Family(n - 1, lo)) == {b for b in sets if n not in b}
+    assert members(Family(n - 1, hi)) == {b - {n} for b in sets if n in b}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_simply_rooted_masks_exhaustive(n):
+    for fam in (Family(n, mask) for mask in range(1 << (1 << n))):
+        if oracle_simply_rooted(members(fam)):
+            assert _simply_rooted_masks(fam) == tuple(bitops.rooted_masks(n, fam.mask))
+        else:
+            with pytest.raises(DomainError, match="family is not simply rooted"):
+                _simply_rooted_masks(fam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rooted_families(max_n=8))
+def test_simply_rooted_masks_sampled(fam):
+    assert _simply_rooted_masks(fam) == tuple(bitops.rooted_masks(fam.n, fam.mask))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_simply_rooted_masks_reject_the_lonely_top(n):
+    # {{1..n}} has no root once n >= 2
+    with pytest.raises(DomainError, match="family is not simply rooted"):
+        _simply_rooted_masks(Family(n, 1 << ((1 << n) - 1)))
 
 
 def wide_families(n: int):

@@ -519,6 +519,24 @@ def test_render_table_layout():
     assert len(lines) == rule + 1 + len(PROBE_IDS)
 
 
+def test_colex_total_row_reports_a_wrong_table_entry(monkeypatch):
+    # ||I(100)|| made 300 too large breaks the segment bound at m = 100, and
+    # Czedli's threshold there for every r whose 2^(r+2) / 3 exceeds 100
+    real = verify.total_size_range
+
+    def skewed(limit):
+        tots = real(limit)
+        tots[100] += 300
+        return tots
+
+    monkeypatch.setattr(verify, "total_size_range", skewed)
+    tally = verify._global_colex_total(None)
+    assert [text for _, text, _, _ in tally.violations] == ["m=100"] + [
+        f"m=100 r={r}" for r in range(7, 12)
+    ]
+    assert tally.details == {"threshold_flips_seen": 11}
+
+
 # ---------------------------------------------------------------------------
 # the any-family deficiency scan
 
