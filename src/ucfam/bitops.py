@@ -239,12 +239,13 @@ def root_set(rooted: Sequence[int], s: int) -> int:
     return out
 
 
-def rooted_exactly(rooted: Sequence[int], elements: int) -> int:
-    """Cells whose root set is exactly the encoded element set (index b-1 of
-    `rooted` is the rooted mask of b, as rooted_masks returns them)."""
-    out = universe(len(rooted))
+def roots_differ(n: int, rooted: Sequence[int], d: int) -> int:
+    """Cells whose root set is not their own elements in the encoded set d:
+    those rooted at an element outside d, or holding an element of d that does
+    not root them (`rooted` as rooted_masks returns it, index b-1 for b)."""
+    out = 0
     for j, r in enumerate(rooted):
-        out &= r if (elements >> j) & 1 else ~r
+        out |= axis(n, j + 1) & ~r if (d >> j) & 1 else r
     return out
 
 
@@ -256,12 +257,16 @@ def rooted_union(rooted: Sequence[int], elements: int) -> int:
     return out
 
 
+def spread(cells: int, elements: int) -> int:
+    """Each of the cells a that miss the encoded `elements` spread to the cube [a, a + elements]."""
+    for b in iter_bits(elements):
+        cells |= cells << (1 << b)
+    return cells
+
+
 def interval(lower: int, upper: int) -> int:
     """Cells of the cube [lower, upper] = {X : lower <= X <= upper}; lower must lie inside upper."""
-    cube = 1 << lower
-    for b in iter_bits(upper & ~lower):
-        cube |= cube << (1 << b)
-    return cube
+    return spread(1 << lower, upper & ~lower)
 
 
 def swap_elements(n: int, mask: int, a: int, b: int) -> int:

@@ -166,9 +166,7 @@ def _cube_cover(up: CompressionTrace) -> tuple[int, tuple[int, int] | None]:
     covered = 0
     overlap = None
     for u, g in up.groups.items():
-        cubes = g
-        for b in bitops.iter_bits(u):
-            cubes |= cubes << (1 << b)
+        cubes = bitops.spread(g, u)
         if overlap is None and covered & cubes:
             overlap = next(
                 (a, a ^ u) for a in bitops.iter_bits(g) if bitops.interval(a, a ^ u) & covered
@@ -182,24 +180,20 @@ def _witnessed(down: CompressionTrace, up: CompressionTrace, rooted: Sequence[in
     is a member of the up sweep's original that the first k directions carry
     onto s, k being the direction of the first fall of s.
 
-    With U the up history of A that means U & (2^k - 1) = roots(s), so per
-    first-fall direction k and up group U the witnessed cells are the group
-    shifted onto A + (U & (2^k - 1)) among the members rooted at exactly that set.
+    With U the up history of A that means U & (2^k - 1) = roots(s).  A misses U
+    (each direction of U added its own element), so A + (U & (2^k - 1)) has just
+    those elements in U, and one roots_differ(U) per up group tests every k.
     """
     first_fall: dict[int, int] = {}  # k -> moved members whose first fall is at direction k
     for a, g in down.groups.items():
         if a:
             k = (a & -a).bit_length()
             first_fall[k] = first_fall.get(k, 0) | g
-    exact: dict[int, int] = {}
     out = 0
-    for k, cells in first_fall.items():
-        low = (1 << k) - 1
-        for u, h in up.groups.items():
-            r = u & low
-            hits = (h << r) & cells
-            if hits:
-                if r not in exact:
-                    exact[r] = bitops.rooted_exactly(rooted, r)
-                out |= hits & exact[r]
+    for u, h in up.groups.items():
+        hits = 0
+        for k, cells in first_fall.items():
+            hits |= (h << (u & ((1 << k) - 1))) & cells
+        if hits:
+            out |= hits & ~bitops.roots_differ(up.n, rooted, u)
     return out

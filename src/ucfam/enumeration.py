@@ -272,7 +272,7 @@ def extremal_search(n: int, m: int) -> tuple[int, list[Family]]:
     """
     if n > EXHAUSTIVE_GROUND_LIMIT:
         raise CapacityError(f"extremal search capped at n <= {EXHAUSTIVE_GROUND_LIMIT}")
-    if not 0 <= m <= (1 << n):
+    if n < 0 or not 0 <= m <= (1 << n):
         raise DomainError(f"no family of {m} sets in a {n}-cube")
     best: int | None = None
     minimizers: list[Family] = []

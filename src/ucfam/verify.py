@@ -599,20 +599,14 @@ def _chk_uc_image(ev: Evidence) -> Outcome:
 
 def _chk_cube_set(ev: Evidence) -> Outcome:
     """The members of the cubes [A, A + U] of up group U are the cells A + R,
-    R inside U; each must have root set exactly R, so that it minus its roots is A."""
-    exact: dict[int, int] = {}
+    R inside U; each must have root set exactly R, so that it minus its roots is A.
+    A misses U (each direction of U added its own element), so A + R has just
+    the elements R in U, and one roots_differ(U) per group tests every R."""
     for u, g in ev.up.groups.items():
-        r = u
-        while r:
-            members = (g << r) & ev.fam.mask
-            if members:
-                if r not in exact:
-                    exact[r] = bitops.rooted_exactly(ev.rooted, r)
-                off = members & ~exact[r]
-                if off:
-                    s = _lowest(off)
-                    return False, s, s ^ r, None
-            r = (r - 1) & u
+        off = bitops.spread(g, u) & ev.fam.mask & bitops.roots_differ(ev.fam.n, ev.rooted, u)
+        if off:
+            s = _lowest(off)
+            return False, s, s & ~u, None
     return True, 0, 0, None
 
 

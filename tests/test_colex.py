@@ -42,6 +42,8 @@ def test_initial_segment_cells_are_a_prefix():
     assert initial_segment(0, 3).mask == 0
     with pytest.raises(DomainError):
         initial_segment(5, 2)
+    with pytest.raises(DomainError):
+        initial_segment(3, -1)
 
 
 def test_colex_total_matches_digit_sum_oracle():

@@ -176,7 +176,16 @@ def assert_trace_matches_replay(fam: Family) -> None:
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_group_traces_match_cell_replay_exhaustive(n):
     for mask in range(1 << (1 << n)):
-        assert_trace_matches_replay(Family(n, mask))
+        fam = Family(n, mask)
+        assert_trace_matches_replay(fam)
+        # each direction of a history moved its own element: an up-group
+        # member misses its history and a down-group member contains it
+        assert all(
+            s & a == (a if down else 0)
+            for down, sweep in ((True, full_down), (False, full_up))
+            for a, g in sweep(fam)[1].groups.items()
+            for s in bitops.iter_bits(g)
+        )
 
 
 @settings(max_examples=120)

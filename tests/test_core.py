@@ -368,6 +368,54 @@ def test_reducible_matches_definition_sampled(n, data):
     assert members(got) == oracle_reducible(members(fam))
 
 
+def roots_differ_want(n: int, rooted: list[int], d: int) -> int:
+    """Cells whose root set is not their own elements in d, cell by cell."""
+    return sum(1 << s for s in range(1 << n) if bitops.root_set(rooted, s) != s & d)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_roots_differ_matches_root_set_exhaustive(n):
+    for mask in range(1 << (1 << n)):
+        rooted = bitops.rooted_masks(n, mask)
+        for d in range(1 << n):
+            assert bitops.roots_differ(n, rooted, d) == roots_differ_want(n, rooted, d), (mask, d)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_roots_differ_matches_root_set_sampled(n, data):
+    fam = data.draw(wide_families(n))
+    rooted = bitops.rooted_masks(n, fam.mask)
+    for d in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4)):
+        assert bitops.roots_differ(n, rooted, d) == roots_differ_want(n, rooted, d), d
+
+
+def spread_want(n: int, cells: int, e: int) -> int:
+    """The union of the cubes [a, a + e] over the cells a that miss e: the
+    cells x whose part outside e is one of them."""
+    return sum(1 << x for x in range(1 << n) if (cells >> (x & ~e)) & 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_spread_is_the_union_of_cubes_exhaustive(n):
+    for e in range(1 << n):
+        missing = sum(1 << a for a in range(1 << n) if not a & e)
+        for cells in range(1 << (1 << n)):
+            cells &= missing
+            assert bitops.spread(cells, e) == spread_want(n, cells, e), (cells, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_spread_is_the_union_of_cubes_sampled(data):
+    n = data.draw(st.integers(4, 8))
+    e = data.draw(st.integers(0, (1 << n) - 1))
+    cells = data.draw(families(min_n=n, max_n=n)).mask
+    cells &= sum(1 << a for a in range(1 << n) if not a & e)
+    assert bitops.spread(cells, e) == spread_want(n, cells, e)
+
+
 @given(families(max_n=5))
 def test_union_closed_iff_complement_simply_rooted(fam):
     assert is_union_closed(fam) == is_simply_rooted(complement(fam))

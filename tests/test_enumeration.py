@@ -214,3 +214,5 @@ def test_extremal_search_errors():
         extremal_search(5, 3)
     with pytest.raises(DomainError):
         extremal_search(2, 5)
+    with pytest.raises(DomainError):
+        extremal_search(-1, 1)

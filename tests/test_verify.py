@@ -340,16 +340,23 @@ def test_incremental_toggle_matches_full_test(n):
 
 def cube_set_agrees(fam: Family) -> bool:
     """lemma_cube_set on the evidence record of any family, built from its
-    rooted masks, against the statement pair by pair; returns the verdict."""
+    rooted masks, against the statement pair by pair, and its failure outcome
+    against the statement; returns the verdict."""
     n, mask = fam.n, fam.mask
     rooted = tuple(bitops.rooted_masks(n, mask))
-    up = full_up(complement(fam))[1]
+    uppers = full_up(complement(fam))[1].image_map()
     want = all(
         s & ~bitops.root_set(rooted, s) == a
-        for a, u in up.image_map().items()
+        for a, u in uppers.items()
         for s in bitops.iter_bits(bitops.interval(a, u) & mask)
     )
-    assert _FAMILY_CHECKS["lemma_cube_set"](Evidence(fam, rooted))[0] == want
+    verdict, lhs, rhs, _ = _FAMILY_CHECKS["lemma_cube_set"](Evidence(fam, rooted))
+    assert verdict == want
+    if not verdict:
+        # lhs is a member in the cube of the up-group member rhs, with other roots
+        assert rhs in uppers
+        assert (bitops.interval(rhs, uppers[rhs]) & mask) >> lhs & 1
+        assert bitops.root_set(rooted, lhs) != lhs & ~rhs
     return want
 
 
