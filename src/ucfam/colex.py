@@ -84,7 +84,7 @@ def initial_segment(m: int, n: int | None = None) -> Family:
     """The first m sets in colex order, as a family over {1..n}."""
     if n is None:
         n = min_ground(m) if m else 0
-    if n < 0 or m > (1 << n):
+    if n < 0 or not 0 <= m <= (1 << n):
         raise DomainError(f"segment of {m} sets does not fit in a {n}-cube")
     return Family(n, (1 << m) - 1)
 

@@ -119,6 +119,8 @@ class Family:
     def from_cells(cls, n: int, cells: Iterable[int]) -> "Family":
         mask = 0
         for s in cells:
+            if s < 0:
+                raise DomainError(f"cell {s} is not a set encoding")
             mask |= 1 << s
         return cls(n, mask)
 
@@ -206,6 +208,8 @@ def roots(fam: Family, s: int) -> int:
 
 def rooted_subfamily(fam: Family, s_elements: int) -> Family:
     """Members rooted at some element of the encoded element set; never contains {}."""
+    if not 0 <= s_elements < 1 << fam.n:
+        raise DomainError(f"element set {s_elements} is not inside 1..{fam.n}")
     return Family(fam.n, bitops.rooted_union(_simply_rooted_masks(fam), s_elements))
 
 

@@ -102,35 +102,30 @@ def random_union_closed(n: int, seed_sets: int, seed: int) -> Family:
 
 
 def _root_repair(n: int, cells: list[int], rng: SplitMix64) -> int:
-    """Grow the cells into a simply rooted family by patching rootless members.
+    """Grow the cells into a simply rooted family: while a nonempty member lacks
+    a root, patch the least such cell s with [{b}, s], b a random element of s.
 
-    While some nonempty member lacks a root, take the least such cell, pick
-    one of its elements at random, and add the whole interval from that
-    singleton up to the member.  Added cells are rooted by construction and
-    adding cells removes no root, so each patch roots one original cell and
-    this stops after at most len(cells) patches; RuntimeError if it does not.
+    A patch roots s and every cell it adds (all inside s) at b, and adding cells
+    removes no root, so the next least rootless cell is a drawn cell above s:
+    one ascending pass makes the same patches with the same draws.  b roots s
+    iff no missing cell inside s holds b.
     """
-    mask = 0
-    for s in cells:
-        mask |= 1 << s
-    for _ in range(len(cells) + 1):
-        rootless = bitops.rootless(mask, bitops.rooted_masks(n, mask))
-        if not rootless:
-            return mask
-        s = (rootless & -rootless).bit_length() - 1
-        elems = list(bitops.iter_bits(s))
-        b = elems[rng.below(len(elems))]
-        mask |= bitops.interval(1 << b, s)
-    raise RuntimeError(f"root repair left rootless members after {len(cells)} patches")
+    mask = Family.from_cells(n, cells).mask
+    for s in sorted(cells):  # a repeated cell is rooted on its second visit
+        missing = bitops.interval(0, s) & ~mask
+        if s and all(missing & bitops.axis(n, b + 1) for b in bitops.iter_bits(s)):
+            elems = list(bitops.iter_bits(s))
+            mask |= bitops.interval(1 << elems[rng.below(len(elems))], s)
+    return mask
 
 
 def _random_sample(n: int, rng: SplitMix64) -> Family:
     """One random union-closed family; two regimes for size diversity.
 
     Closures of uniform seed sets stay small, so their simply rooted
-    complements are always large.  The second regime builds a simply rooted
-    family directly (cube repair) and returns its complement, covering the
-    other end of the size range.
+    complements are always large.  The second regime grows the drawn cells into
+    a simply rooted family (_root_repair) and returns its complement, covering
+    the other end of the size range.
     """
     full = (1 << n) - 1
     if n == 0:
@@ -140,8 +135,7 @@ def _random_sample(n: int, rng: SplitMix64) -> Family:
     cells = [rng.next64() & full for _ in range(k)]
     if regime == 0:
         return Family(n, union_closure(n, cells))
-    rooted = _root_repair(n, cells, rng)
-    return Family(n, rooted ^ bitops.universe(n))
+    return complement(Family(n, _root_repair(n, cells, rng)))
 
 
 @dataclass(frozen=True)
@@ -181,8 +175,7 @@ def _join_stable(n: int, closed: int) -> int:
     for b in bitops.iter_bits(closed):
         pre = closed
         for i in bitops.iter_bits(b):
-            ax = bitops.axis(n, i + 1)
-            pre &= ax
+            pre &= bitops.axis(n, i + 1)
             pre |= pre >> (1 << i)
         out &= pre
     return out

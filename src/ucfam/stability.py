@@ -75,6 +75,8 @@ def deficiency_tight_family(m: int, k: int) -> Family:
     Its deficiency is exactly k*m and its total size meets the deficiency
     bound with equality.
     """
+    if m < 0 or k < 0:
+        raise DomainError(f"no tight family of {m} sets with {k} glued elements")
     base_n = (m - 1).bit_length() if m > 1 else 0
     n = base_n + k
     if n > bitops.MAX_GROUND:

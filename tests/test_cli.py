@@ -381,10 +381,17 @@ GOLDEN_STREAMS = [
         ("--n", "7", "--mode", "random", "--samples", "200", "--seed", "9", "--rooted"),
         "a5a051af7422aca303ac005783664496a9c68de2cec70905b4de588b91695634",
     ),
+    (
+        ("--n", "10", "--mode", "random", "--samples", "300", "--seed", "11", "--rooted"),
+        "30aff59d2fcdfa6e43df3b35c41ab2921453ca233d2771d10b60fc293c7a4e98",
+    ),
 ]
 
 
-@pytest.mark.parametrize("args,digest", GOLDEN_STREAMS, ids=["n4-rooted", "n7-random", "n7-random-rooted"])
+@pytest.mark.parametrize(
+    "args,digest", GOLDEN_STREAMS,
+    ids=["n4-rooted", "n7-random", "n7-random-rooted", "n10-random-rooted"],
+)
 def test_gen_stream_bytes_golden(capsys, args, digest):
     code, out, _ = run_cli(capsys, "gen", *args)
     assert code == EXIT_PASS

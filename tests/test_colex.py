@@ -44,6 +44,8 @@ def test_initial_segment_cells_are_a_prefix():
         initial_segment(5, 2)
     with pytest.raises(DomainError):
         initial_segment(3, -1)
+    with pytest.raises(DomainError):
+        initial_segment(-1, 3)
 
 
 def test_colex_total_matches_digit_sum_oracle():

@@ -88,6 +88,8 @@ def test_family_basics():
 def test_family_rejects_foreign_cells():
     with pytest.raises(DomainError):
         Family(1, 1 << 2)  # cell {2} outside P({1})
+    with pytest.raises(DomainError):
+        Family.from_cells(3, [-1])
 
 
 @given(families(max_n=4))
@@ -473,6 +475,8 @@ def test_rooted_subfamily_splits_by_root():
     assert members(side1) == {frozenset([1]), frozenset([1, 2])}
     # the empty set is rooted nowhere
     assert 0 not in side1
+    with pytest.raises(DomainError):
+        rooted_subfamily(Family(2, 0b1110), 8)  # element 4 of a 2-point ground set
 
 
 # --- stats ---------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import union_closed_at, simply_rooted_at
+from conftest import oracle_roots, simply_rooted_at, subsets, union_closed_at
 from ucfam import (
     CapacityError,
     DomainError,
@@ -29,7 +29,7 @@ from ucfam import (
     is_union_closed,
     random_union_closed,
 )
-from ucfam.enumeration import population_size, union_closure
+from ucfam.enumeration import SplitMix64, _root_repair, population_size, union_closure
 
 UNION_CLOSED_COUNTS = {0: 2, 1: 4, 2: 14, 3: 122, 4: 4960}
 
@@ -151,12 +151,45 @@ def test_indexed_sample_matches_stream_order():
             assert indexed_rooted_sample(plan, i) == complement(stream[i])
 
 
-def test_root_repair_raises_instead_of_looping(monkeypatch):
-    # rooted masks that root nothing: no patch can ever finish the repair
-    monkeypatch.setattr(bitops, "rooted_masks", lambda n, mask: [0] * n)
-    plan = EnumerationPlan(n=4, mode="random", sample_count=1, seed=0)
-    with pytest.raises(RuntimeError, match="rootless"):
-        indexed_rooted_sample(plan, 2)
+def _reference_root_repair(n: int, cells: list[int], rng: SplitMix64) -> int:
+    """_root_repair's documented loop on plain sets: while some nonempty member
+    has no root, patch the least one (by encoding) with the interval from a
+    random one of its elements, drawn over its ascending elements."""
+    sets = {frozenset(decode_set(s)) for s in cells}
+    while True:
+        rootless = [b for b in sets if b and not oracle_roots(sets, b)]
+        if not rootless:
+            return Family.from_sets(n, sets).mask
+        s = min(rootless, key=encode_set)
+        elems = sorted(s)
+        b = elems[rng.below(len(elems))]
+        sets |= {frozenset(x) for x in subsets(s) if b in x}
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=2 * n + 2))
+    ),
+    st.integers(0, (1 << 64) - 1),
+)
+def test_root_repair_matches_the_documented_loop(case, state):
+    n, cells = case
+    rng, ref_rng = SplitMix64(state), SplitMix64(state)
+    assert _root_repair(n, cells, rng) == _reference_root_repair(n, cells, ref_rng)
+    assert rng.state == ref_rng.state
+
+
+def test_sampler_makes_no_rooted_mask_sweep(monkeypatch):
+    plans = [EnumerationPlan(n=n, mode="random", sample_count=80, seed=n) for n in range(4, 9)]
+    before = [list(enumerate_simply_rooted(plan)) for plan in plans]
+
+    def sweep(*args):
+        raise AssertionError("the sampler swept rooted masks")
+
+    monkeypatch.setattr(bitops, "rooted_masks", sweep)
+    monkeypatch.setattr(bitops, "rootless", sweep)
+    assert [list(enumerate_simply_rooted(plan)) for plan in plans] == before
 
 
 # --- canonical forms ---------------------------------------------------------------

@@ -89,6 +89,9 @@ def test_deficiency_tight_families():
             assert fam.total_size() == colex_total_size(m) + k * m
             if k <= 1:
                 assert is_simply_rooted(fam)
+    for m, k in ((3, -1), (-2, 1)):
+        with pytest.raises(DomainError):
+            deficiency_tight_family(m, k)
 
 
 # --- largest down-set ------------------------------------------------------------
