@@ -17,24 +17,26 @@ unique integer satisfying 2^r < 3m < 2^(r+1) (3m is never a power of two),
 The bound is tight exactly when m is a power of two or m = 2^k * c with c
 binary-patterned 1(01)^j1, i.e. m = 2^a + 2^(a-2) + ... + 2^(a-2j) +
 2^(a-2j-1) with bottom exponent >= 0; segment_bound_is_tight decides that.
+
+Czedli's threshold states ||I(m)|| > mr/2 iff m > 2^(r+2)/3.  Each side
+holds exactly for r up to a bound that depends on m alone, and
+czedli_threshold_bounds gives both bounds.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from . import bitops
-from .core import Family, is_downset
+from .core import Family
 from .errors import CapacityError, DomainError
 
 __all__ = [
-    "colex_superadditivity",
     "colex_superadditivity_slack",
     "colex_total_size",
-    "czedli_threshold_agrees",
+    "czedli_threshold_bounds",
     "extremal_construction",
     "f_extremal",
     "initial_segment",
-    "kk_downset_bound",
     "min_ground",
     "segment_bound",
     "segment_bound_is_tight",
@@ -111,13 +113,6 @@ def extremal_construction(m: int) -> Family:
     return Family(n, bitops.universe(n) ^ deleted)
 
 
-def kk_downset_bound(fam: Family) -> int:
-    """||I(|F|)|| - ||F|| for a down-set F (nonnegative); DomainError otherwise."""
-    if not is_downset(fam):
-        raise DomainError("family is not a down-set")
-    return colex_total_size(len(fam)) - fam.total_size()
-
-
 def colex_superadditivity_slack(m1: int, m2: int) -> int:
     """||I(m1+m2)|| - ||I(m1)|| - ||I(m2)|| - min(m1, m2) (nonnegative)."""
     return (
@@ -126,11 +121,6 @@ def colex_superadditivity_slack(m1: int, m2: int) -> int:
         - colex_total_size(m2)
         - min(m1, m2)
     )
-
-
-def colex_superadditivity(m1: int, m2: int) -> bool:
-    """Whether ||I(m1)|| + ||I(m2)|| <= ||I(m1+m2)|| - min(m1, m2)."""
-    return colex_superadditivity_slack(m1, m2) >= 0
 
 
 def segment_bound(m: int) -> Fraction:
@@ -162,8 +152,14 @@ def segment_bound_is_tight(m: int) -> bool:
     return True
 
 
-def czedli_threshold_agrees(m: int, r: int) -> bool:
-    """Whether [||I(m)|| > mr/2] iff [m > 2^(r+2)/3] holds at (m, r)."""
-    lhs = 2 * colex_total_size(m) > m * r
-    rhs = 3 * m > (1 << (r + 2))
-    return lhs == rhs
+def czedli_threshold_bounds(m: int, total: int) -> tuple[int, int]:
+    """The largest r at which each side of Czedli's threshold holds, given
+    total = ||I(m)||; the threshold states that the two sides agree.
+
+    2 total > m r  iff  m r <= 2 total - 1  iff  r <= (2 total - 1) // m, and
+    3m > 2^(r+2)  iff  2^(r+2) <= 3m - 1  iff  r <= bit_length(3m - 1) - 3,
+    so at r the sides disagree iff r lies above one bound and not the other.
+    """
+    if m < 1:
+        raise DomainError("threshold needs m >= 1")
+    return (2 * total - 1) // m, (3 * m - 1).bit_length() - 3

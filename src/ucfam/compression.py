@@ -87,10 +87,6 @@ class CompressionTrace:
         """Image of original member s after the first k directions."""
         return s ^ (self.moved_set(s) & ((1 << k) - 1))
 
-    def image_map(self) -> dict[int, int]:
-        out = {s: s ^ a for a, g in self.groups.items() for s in bitops.iter_bits(g)}
-        return dict(sorted(out.items()))
-
     def fixed_mask(self) -> int:
         """Cells of members that never moved."""
         return self.groups.get(0, 0)

@@ -58,6 +58,8 @@ def encode_set(elements: Iterable[int], n: int | None = None) -> int:
 
 def decode_set(s: int) -> tuple[int, ...]:
     """Elements of an encoded set, ascending."""
+    if s < 0:
+        raise DomainError(f"set encoding {s} is negative")
     return tuple(b + 1 for b in bitops.iter_bits(s))
 
 
@@ -186,6 +188,8 @@ def is_downset(fam: Family) -> bool:
 
 def shadow(n: int, s: int) -> Family:
     """Family of sets B - {i} over i in B."""
+    if not 0 <= s < 1 << n:
+        raise DomainError(f"set encoding {s} is not inside 1..{n}")
     mask = 0
     for b in bitops.iter_bits(s):
         mask |= 1 << (s ^ (1 << b))
@@ -194,6 +198,8 @@ def shadow(n: int, s: int) -> Family:
 
 def cube(n: int, lower: int, upper: int) -> Family:
     """Interval family [lower, upper] = {X : lower <= X <= upper} (subset order)."""
+    if lower < 0 or upper < 0:
+        raise DomainError(f"set encoding {min(lower, upper)} is negative")
     if lower & ~upper:
         raise DomainError(f"{set_text(lower)} is not a subset of {set_text(upper)}")
     return Family(n, bitops.interval(lower, upper))
@@ -201,6 +207,8 @@ def cube(n: int, lower: int, upper: int) -> Family:
 
 def roots(fam: Family, s: int) -> int:
     """Encoded set of roots of member s: elements b with [{b}, s] inside fam."""
+    if s < 0:
+        raise DomainError(f"set encoding {s} is negative")
     if s not in fam:
         raise DomainError(f"{set_text(s)} is not a member")
     return bitops.root_set(bitops.rooted_masks(fam.n, fam.mask), s)

@@ -32,7 +32,6 @@ __all__ = [
     "indexed_rooted_sample",
     "indexed_sample",
     "population_size",
-    "random_union_closed",
 ]
 
 EXHAUSTIVE_GROUND_LIMIT = 4
@@ -89,16 +88,6 @@ def union_closure(n: int, cells: list[int]) -> int:
     for s in cells:
         mask |= bitops.union_image(n, mask, s) | (1 << s)
     return mask
-
-
-def random_union_closed(n: int, seed_sets: int, seed: int) -> Family:
-    """Union closure of seed_sets uniform subsets of {1..n}, deterministic in seed."""
-    if n > RANDOM_GROUND_LIMIT:
-        raise CapacityError(f"random sampling capped at n <= {RANDOM_GROUND_LIMIT}")
-    rng = SplitMix64(seed)
-    full = (1 << n) - 1
-    cells = [rng.next64() & full for _ in range(seed_sets)]
-    return Family(n, union_closure(n, cells))
 
 
 def _root_repair(n: int, cells: list[int], rng: SplitMix64) -> int:

@@ -32,6 +32,7 @@ from typing import Any, Callable, Iterable, Iterator, Literal, Sequence
 from . import bitops
 from .colex import (
     colex_total_size,
+    czedli_threshold_bounds,
     segment_bound_is_tight,
     segment_bound_sixths,
     total_size_range,
@@ -678,30 +679,35 @@ class _Tally:
 
 
 def _global_colex_total(plan: EnumerationPlan | None) -> _Tally:
-    """lemma_colex_total: the segment bound in sixths, then Czedli's threshold.
+    """lemma_colex_total: the segment bound in sixths, then Czedli's threshold
+    at r = 1..THRESHOLD_R_LIMIT, for every m up to COLEX_SWEEP_LIMIT.
 
-    The threshold restates colex.czedli_threshold_agrees on one table, as
-    calling it on each of the 90,112 (m, r) pairs took 0.22-0.34 s against
-    0.03-0.05 s for this whole row (2 cores, Python 3.11.7).
+    Each m and each (m, r) pair is one instance.  With both bounds of
+    colex.czedli_threshold_bounds clipped to [0, THRESHOLD_R_LIMIT], the
+    sides disagree exactly at the r between the two clipped bounds, and the
+    threshold flips at m (both sides hold at m, the right side fails at m - 1)
+    exactly at the r above m - 1's clipped right bound and up to both of m's.
     """
     t = _Tally()
     tots = total_size_range(COLEX_SWEEP_LIMIT)
+    r_limit = THRESHOLD_R_LIMIT
+    flips = 0
+    right_before = 0  # 3 (m - 1) > 2^(r+2) holds at no r >= 1 for m = 1
     for m in range(1, COLEX_SWEEP_LIMIT + 1):
         six = 6 * tots[m]
         bound = segment_bound_sixths(m)
-        t.instances += 1
         if six > bound or (six == bound) != segment_bound_is_tight(m):
             t.violations.append((m, f"m={m}", six, bound))
-    flips = 0
-    for r in range(1, THRESHOLD_R_LIMIT + 1):
-        for m in range(1, COLEX_SWEEP_LIMIT + 1):
-            t.instances += 1
-            lhs = 2 * tots[m] > m * r
-            rhs = 3 * m > 1 << (r + 2)
-            if lhs != rhs:
-                t.violations.append((m, f"m={m} r={r}", int(lhs), int(rhs)))
-            elif lhs and not (3 * (m - 1) > 1 << (r + 2)):
-                flips += 1
+        left, right = czedli_threshold_bounds(m, tots[m])
+        left = 0 if left < 0 else r_limit if left > r_limit else left
+        right = 0 if right < 0 else r_limit if right > r_limit else right
+        low, high = (left, right) if left <= right else (right, left)
+        for r in range(low + 1, high + 1):
+            t.violations.append((m, f"m={m} r={r}", int(r <= left), int(r <= right)))
+        if low > right_before:
+            flips += low - right_before
+        right_before = right
+    t.instances = COLEX_SWEEP_LIMIT * (1 + r_limit)
     t.details["threshold_flips_seen"] = flips
     return t
 

@@ -10,13 +10,12 @@ from ucfam import (
     DomainError,
     Family,
     colex_total_size,
-    czedli_threshold_agrees,
+    czedli_threshold_bounds,
     extremal_construction,
     f_extremal,
     initial_segment,
     is_downset,
     is_union_closed,
-    kk_downset_bound,
     min_ground,
     segment_bound,
     segment_bound_is_tight,
@@ -24,6 +23,8 @@ from ucfam import (
     total_size_range,
 )
 from ucfam.colex import colex_superadditivity_slack
+from ucfam.stability import _fallers
+from ucfam.verify import _deficiency_sides
 
 
 # --- the segment and its size ---------------------------------------------------
@@ -105,9 +106,16 @@ def test_segment_bound_fraction_agrees_with_sixths():
 
 
 def test_czedli_threshold_exhaustive_small():
-    for r in range(1, 12):
-        for m in range(1, 1 << 12):
-            assert czedli_threshold_agrees(m, r), (m, r)
+    # each bound is exact for its side, and the two sides agree at r = 1..11
+    for m in range(1, 1 << 12):
+        total = colex_total_size(m)
+        left, right = czedli_threshold_bounds(m, total)
+        for r in range(0, 14):
+            assert (2 * total > m * r) == (r <= left), (m, r)
+            assert (3 * m > 1 << (r + 2)) == (r <= right), (m, r)
+        assert min(max(left, 0), 11) == min(max(right, 0), 11), m
+    with pytest.raises(DomainError):
+        czedli_threshold_bounds(0, 0)
 
 
 # --- f(m) and the extremal construction ------------------------------------------
@@ -156,21 +164,19 @@ def test_f_extremal_monotone_steps(m):
 
 
 def test_downset_slack_nonnegative_exhaustive():
+    # a down-set misses no shadow set, so lemma_deficiency's right side is ||I(|F|)||
     for n in range(5):
         for mask in range(1 << (1 << n)):
             fam = Family(n, mask)
             if is_downset(fam):
-                assert kk_downset_bound(fam) >= 0
+                lhs, rhs = _deficiency_sides(fam, _fallers(fam))
+                assert lhs <= rhs == colex_total_size(len(fam))
 
 
 def test_downset_slack_zero_on_segments():
     for m in range(17):
-        assert kk_downset_bound(initial_segment(m, 4)) == 0
-
-
-def test_downset_slack_rejects_non_downsets():
-    with pytest.raises(DomainError):
-        kk_downset_bound(Family.from_sets(2, [[1, 2]]))
+        seg = initial_segment(m, 4)
+        assert _deficiency_sides(seg, _fallers(seg)) == (colex_total_size(m),) * 2
 
 
 def test_colex_total_against_conftest_oracle():

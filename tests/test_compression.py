@@ -108,8 +108,7 @@ def test_trace_prefixes_and_images_agree(fam):
     n = fam.n
     assert trace.prefix_family(0) == fam
     assert trace.prefix_family(n) == trace.result
-    img = trace.image_map()
-    assert Family.from_cells(n, img.values()) == trace.result
+    assert Family.from_cells(n, [trace.image(s) for s in fam]) == trace.result
     for s in fam:
         assert trace.prefix_image(s, n) == trace.image(s)
         assert trace.prefix_image(s, 0) == s
@@ -241,7 +240,7 @@ def test_reimer_cubes_tile_exhaustive(n):
         covered, overlap = _cube_cover(ev.up)
         assert overlap is None
         # cubes are pairwise disjoint, so their cells add up
-        uppers = ev.up.image_map()
+        uppers = {a: ev.up.image(a) for a in ev.up.original}
         assert covered.bit_count() == sum(1 << (u & ~a).bit_count() for a, u in uppers.items())
         # each member sits at the bottom of its own cube
         assert fam.mask & ~covered == 0
@@ -264,7 +263,7 @@ def test_cube_cover_matches_pairwise_reference(n):
     overlaps = 0
     for mask in range(1 << (1 << n)):
         _, trace = full_up(Family(n, mask))
-        uppers = trace.image_map()
+        uppers = {a: trace.image(a) for a in trace.original}
         covered, overlap = _cube_cover(trace)
         assert (covered, overlap is None) == cube_cover_reference(uppers)
         if overlap is not None:

@@ -31,7 +31,6 @@ from ucfam import (
     is_simply_rooted,
     is_union_closed,
     parse_set_text,
-    random_union_closed,
     rooted_subfamily,
     roots,
     set_text,
@@ -39,7 +38,7 @@ from ucfam import (
     stats,
 )
 from ucfam.core import _simply_rooted_masks
-from ucfam.enumeration import SplitMix64
+from ucfam.enumeration import SplitMix64, union_closure
 
 
 # --- encodings ---------------------------------------------------------------
@@ -62,6 +61,8 @@ def test_set_text_examples():
     assert set_text(0b101) == "{1,3}"
     assert parse_set_text("{1,3}", 4) == 0b101
     assert parse_set_text("{}", 4) == 0
+    with pytest.raises(DomainError):
+        set_text(-3)
 
 
 @pytest.mark.parametrize(
@@ -170,7 +171,8 @@ def test_union_closed_matches_pairwise_definition_random(n):
     # union closures, and the same closures with one cell toggled
     verdicts = set()
     for seed in range(4):
-        closed = random_union_closed(n, 3 + seed, seed)
+        rng = SplitMix64(seed)
+        closed = Family(n, union_closure(n, [rng.next64() % (1 << n) for _ in range(3 + seed)]))
         cell = SplitMix64(seed + 100).next64() % (1 << n)
         for fam in (closed, Family(n, closed.mask ^ (1 << cell))):
             verdict = is_union_closed(fam)
@@ -182,7 +184,8 @@ def test_union_closed_matches_pairwise_definition_random(n):
 def near_misses(n: int, seed: int) -> tuple[Family, Family]:
     """A union closure with one reducible member s | t removed, and the same
     closure with one cell from outside it added."""
-    closed = random_union_closed(n, 3 + seed % 4, seed)
+    rng = SplitMix64(seed)
+    closed = Family(n, union_closure(n, [rng.next64() % (1 << n) for _ in range(3 + seed % 4)]))
     joins = sorted({s | t for s in closed for t in closed if s | t not in (s, t)})
     rng = SplitMix64(seed + 200)
     removed = joins[rng.below(len(joins))]
@@ -444,6 +447,10 @@ def test_shadow_example():
     sh = shadow(3, s)
     assert members(sh) == {frozenset(x) for x in [(1, 2), (1, 3), (2, 3)]}
     assert len(shadow(3, 0)) == 0
+    with pytest.raises(DomainError):
+        shadow(3, -1)
+    with pytest.raises(DomainError):
+        shadow(3, 8)
 
 
 def test_cube_example():
@@ -451,6 +458,10 @@ def test_cube_example():
     assert members(c) == {frozenset([1]), frozenset([1, 3])}
     with pytest.raises(DomainError):
         cube(3, encode_set([2]), encode_set([1]))
+    with pytest.raises(DomainError):
+        cube(3, -1, 3)
+    with pytest.raises(DomainError):
+        cube(3, 0, -1)
 
 
 @given(families(max_n=4), st.data())
@@ -467,6 +478,8 @@ def test_roots_match_oracle(fam, data):
 def test_roots_requires_membership():
     with pytest.raises(DomainError):
         roots(Family.empty(2), 0b01)
+    with pytest.raises(DomainError):
+        roots(Family(2, 0b1111), -1)
 
 
 def test_rooted_subfamily_splits_by_root():

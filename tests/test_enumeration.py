@@ -27,7 +27,6 @@ from ucfam import (
     indexed_sample,
     is_simply_rooted,
     is_union_closed,
-    random_union_closed,
 )
 from ucfam.enumeration import SplitMix64, _root_repair, population_size, union_closure
 
@@ -96,18 +95,6 @@ def test_random_plan_rejects_negative_sample_count():
 
 
 # --- seeded randomness ------------------------------------------------------------
-
-
-def test_random_union_closed_edges():
-    assert len(random_union_closed(4, 0, 9)) == 0
-    assert len(random_union_closed(4, 1, 9)) == 1
-
-
-def test_random_union_closed_is_closed_and_deterministic():
-    for seed in range(2500):
-        fam = random_union_closed(5, seed % 5 + 1, seed)
-        assert is_union_closed(fam)
-    assert random_union_closed(6, 4, 123) == random_union_closed(6, 4, 123)
 
 
 def _fixpoint_closure(cells: list[int]) -> int:

@@ -16,7 +16,6 @@ from ucfam import (
     bitops,
     classify_sets,
     complement,
-    enumeration,
     family_to_text,
     full_down,
     full_up,
@@ -27,7 +26,7 @@ from ucfam import (
     verify,
     z_family,
 )
-from ucfam.enumeration import EnumerationPlan, _union_closed_masks
+from ucfam.enumeration import EnumerationPlan, SplitMix64, _union_closed_masks, union_closure
 from ucfam.stability import _fallers
 from ucfam.verify import (
     CATALOG_IDS,
@@ -314,7 +313,8 @@ def test_spliced_open_complement_fails_duality(n):
     # a real evidence record whose complement has lost one join s | t of
     # two of its members: the family is still simply rooted, so the row
     # must see that the complement is no longer union-closed
-    closed = enumeration.random_union_closed(n, 4, seed=7)
+    rng = SplitMix64(7)
+    closed = Family(n, union_closure(n, [rng.next64() % (1 << n) for _ in range(4)]))
     ev = build_evidence(complement(closed))
     check = _FAMILY_CHECKS["rooted_complement_duality"]
     assert check(ev)[0]
@@ -344,7 +344,8 @@ def cube_set_agrees(fam: Family) -> bool:
     against the statement; returns the verdict."""
     n, mask = fam.n, fam.mask
     rooted = tuple(bitops.rooted_masks(n, mask))
-    uppers = full_up(complement(fam))[1].image_map()
+    up = full_up(complement(fam))[1]
+    uppers = {a: up.image(a) for a in up.original}
     want = all(
         s & ~bitops.root_set(rooted, s) == a
         for a, u in uppers.items()
@@ -524,6 +525,50 @@ def test_render_table_layout():
     assert "conjecture probes:" in lines
     rule = lines.index("conjecture probes:")
     assert len(lines) == rule + 1 + len(PROBE_IDS)
+
+
+def _colex_total_pair_loop(tots):
+    """lemma_colex_total on a table tots[m] = ||I(m)||, Czedli's threshold pair
+    by pair: (instances, violations in the report's order, threshold flips)."""
+    instances, violations, flips = 0, [], 0
+    for m in range(1, verify.COLEX_SWEEP_LIMIT + 1):
+        six, bound = 6 * tots[m], verify.segment_bound_sixths(m)
+        instances += 1
+        if six > bound or (six == bound) != verify.segment_bound_is_tight(m):
+            violations.append((m, f"m={m}", six, bound))
+    for r in range(1, verify.THRESHOLD_R_LIMIT + 1):
+        for m in range(1, verify.COLEX_SWEEP_LIMIT + 1):
+            instances += 1
+            lhs = 2 * tots[m] > m * r
+            rhs = 3 * m > 1 << (r + 2)
+            if lhs != rhs:
+                violations.append((m, f"m={m} r={r}", int(lhs), int(rhs)))
+            elif lhs and not 3 * (m - 1) > 1 << (r + 2):
+                flips += 1
+    return instances, sorted(violations, key=lambda rec: rec[0]), flips
+
+
+@pytest.mark.parametrize("skew", [{}, {100: 300}, {5: 30, 4097: -20000}])
+def test_colex_total_row_matches_pair_loop(monkeypatch, skew):
+    # the real table, one entry too large, and a table skewed at two sizes
+    # whose violations the pair loop interleaves across r, so that only the
+    # report's sort puts them in order
+    real = verify.total_size_range
+
+    def skewed(limit):
+        tots = real(limit)
+        for m, delta in skew.items():
+            tots[m] += delta
+        return tots
+
+    monkeypatch.setattr(verify, "total_size_range", skewed)
+    instances, violations, flips = _colex_total_pair_loop(skewed(verify.COLEX_SWEEP_LIMIT))
+    tally = verify._global_colex_total(None)
+    assert (tally.instances, sorted(tally.violations, key=lambda rec: rec[0])) == (
+        instances, violations)
+    assert tally.details == {"threshold_flips_seen": flips}
+    if not skew:
+        assert (instances, violations, flips) == (98304, [], 11)
 
 
 def test_colex_total_row_reports_a_wrong_table_entry(monkeypatch):
